@@ -16,7 +16,7 @@ import (
 // one writer goroutine per shard appending events whose source entities
 // hash to that shard (the intended deployment: one producer per entity
 // partition, e.g. per monitored host). Not a paper exhibit — the paper's
-// engine was offline — but the BENCH_PR5.json trajectory's interactive
+// engine was offline — but BenchmarkShardedAppend's interactive
 // form: same workload, sweeping LiveOptions.Shards the way the parallel
 // exhibit sweeps MineOptions.Parallelism.
 type ShardedIngestResult struct {

@@ -1,20 +1,18 @@
 package search
 
 // This file compiles a temporal pattern plus its optional TemporalConstraints
-// into the step program every temporal matcher executes. The three engines
-// (static tState in stream.go, live liveState in live.go, cross-shard
-// shardedState in sharded.go) are drivers of the same compiled program: each
-// step carries the pattern edge, its endpoint labels, a guard interval
-// derived from the hop's gap/window constraints, and repetition bounds. An
-// unconstrained pattern compiles to steps with minRep == maxRep == 1 and
-// open guards, and the drivers then reproduce the historical fixed-sequence
-// walk exactly — same candidate order, same emission order, same Truncated
-// accounting (pinned by TestZeroConstraintsIdentical).
+// into the step program the temporal matcher (temporalRun, stream.go)
+// executes on every host: each step carries the pattern edge, its endpoint
+// labels, a guard interval derived from the hop's gap/window constraints,
+// and repetition bounds. An unconstrained pattern compiles to steps with
+// minRep == maxRep == 1 and open guards, and the driver then reproduces the
+// plain fixed-sequence walk exactly — same candidate order, same emission
+// order, same Truncated accounting (pinned by TestZeroConstraintsIdentical).
 //
 // Guards are monotone in edge time (Aghasadeghi, Van den Bussche &
 // Stoyanovich 2022: timed-automaton clock guards over a time-ordered edge
-// stream), and global position order equals time order in every engine, so
-// the drivers turn them into index pruning rather than post-filtering: the
+// stream), and position order equals time order in every view, so the
+// driver turns them into index pruning rather than post-filtering: the
 // lower bound skips ahead by binary search on edge time, and the upper bound
 // early-exits the candidate scan (BenchmarkConstrainedTemporal measures the
 // win over match-then-filter).
@@ -176,16 +174,17 @@ func (s *step) hiTime(start, last, window int64) int64 {
 	return hi
 }
 
-// program is a compiled temporal query: the automaton the matchers drive.
-// Immutable after compile and safe to share across the sharded planner's
-// worker goroutines.
+// program is a compiled temporal query: the automaton the matcher drives.
+// Immutable after compile and safe to share across the planner's worker
+// goroutines.
 type program struct {
 	steps []step
+	nodes int // pattern node count
 }
 
 // maxOccurrences is the most host edges any single match can bind: the sum
 // of the steps' repetition maxima. It bounds the driver recursion depth, so
-// per-depth scratch (the sharded planner's cursor table) sizes by it.
+// per-depth scratch (the cursor table) sizes by it.
 func (p *program) maxOccurrences() int {
 	n := 0
 	for i := range p.steps {
@@ -216,5 +215,5 @@ func compileProgram(p *tgraph.Pattern, c *Constraints) (*program, error) {
 			st.minRep, st.maxRep = h.bounds()
 		}
 	}
-	return &program{steps: steps}, nil
+	return &program{steps: steps, nodes: p.NumNodes()}, nil
 }

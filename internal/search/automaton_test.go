@@ -500,12 +500,14 @@ func TestZeroConstraintsIdentical(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			live := NewLive(LiveOptions{CompactEvery: -1})
 			sharded := NewSharded(LiveOptions{CompactEvery: -1, Shards: 3})
+			oneShard := NewSharded(LiveOptions{CompactEvery: -1, Shards: 1})
 			var labels []tgraph.Label
 			var edges []tgraph.Edge
 			minTime := int64(0)
 			for i, op := range sc.ops {
 				replayOp(t, live, op)
 				replayOp(t, sharded, op)
+				replayOp(t, oneShard, op)
 				switch op.kind {
 				case 'n':
 					labels = append(labels, op.label)
@@ -530,7 +532,7 @@ func TestZeroConstraintsIdentical(t *testing.T) {
 					zeroed := []Options{opts, opts, opts}
 					zeroed[1].Constraints = &Constraints{}
 					zeroed[2].Constraints = &Constraints{Hops: make([]HopConstraint, p.NumEdges())}
-					for _, eng := range []temporalStreamer{static, live, sharded} {
+					for _, eng := range []temporalStreamer{static, live, sharded, oneShard} {
 						base, err := collector{}.run(eng, p, zeroed[0])
 						if err != nil {
 							t.Fatalf("op %d %T: %v", i, eng, err)
@@ -561,7 +563,7 @@ func TestConstrainedCrossEngineParity(t *testing.T) {
 		numLabels := 3
 		nodes := 4 + rng.Intn(3)
 		live := NewLive(LiveOptions{CompactEvery: []int{-1, 2, 3}[rng.Intn(3)]})
-		sharded := NewSharded(LiveOptions{CompactEvery: []int{-1, 2, 3}[rng.Intn(3)], Shards: 2 + rng.Intn(3)})
+		sharded := NewSharded(LiveOptions{CompactEvery: []int{-1, 2, 3}[rng.Intn(3)], Shards: 1 + rng.Intn(4)})
 		var labels []tgraph.Label
 		var edges []tgraph.Edge
 		for i := 0; i < nodes; i++ {

@@ -16,8 +16,11 @@ import (
 // appended edge ACROSS all writers, so on a K-core host K shards should
 // approach a K-fold improvement over shards=1 (every writer serializes on
 // the same mutex there); on a single core the sweep is flat and only
-// measures sharding overhead. Recorded in BENCH_PR5.json; the acceptance
-// target (>=4x aggregate at 8 shards) is a multi-core number.
+// measures sharding overhead (the PR 5 record is in the README's "Benchmark
+// history" table). On realistic event streams the append cost is what
+// tgbench's search.sharded_append_ns_per_ev and search.append_writers_speedup
+// measure; the acceptance target (>=4x aggregate at 8 shards) is a
+// multi-core number.
 func BenchmarkShardedAppend(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -56,8 +59,9 @@ func BenchmarkShardedAppend(b *testing.B) {
 // then times folding it into the base, so the base grows by the tail size
 // every iteration in both modes: a merge whose per-compaction cost stays
 // flat while the base grows demonstrates O(tail + touched lists)
-// compaction, while the rebuild's cost tracks O(base+tail). Recorded in
-// BENCH_PR4.json.
+// compaction, while the rebuild's cost tracks O(base+tail). The PR 4 record
+// is in the README's "Benchmark history" table; tgbench's search.compact_ms
+// measures the merge on a replayed timeline.
 func BenchmarkLiveCompact(b *testing.B) {
 	const tailN = 1024
 	const numNodes = 64
@@ -107,8 +111,8 @@ func BenchmarkLiveCompact(b *testing.B) {
 // load plus a snapshot capture, independent of engine size), while the
 // "walk" series — the recomputation the differential tests still run, and
 // what every Stats call used to cost — grows linearly. This is what makes
-// per-batch exact admission control in tgminerd affordable. Recorded in
-// BENCH_PR10.json.
+// per-batch exact admission control in tgminerd affordable (the PR 10 record
+// is in the README's "Benchmark history" table).
 func BenchmarkLiveStats(b *testing.B) {
 	for _, n := range []int{1e3, 1e4, 1e5, 1e6} {
 		l := NewLive(LiveOptions{CompactEvery: -1})
@@ -149,7 +153,9 @@ func BenchmarkLiveStats(b *testing.B) {
 // candidate scan (upper-bound early exit per hub); "postfilter" runs the
 // unconstrained matcher and drops wide spans afterwards — the semantics are
 // identical for this two-hop pattern (span == gap), which the benchmark
-// asserts once outside the timed loop. Recorded in BENCH_PR8.json.
+// asserts once outside the timed loop. The PR 8 record is in the README's
+// "Benchmark history" table; tgbench's search.*_find_us.constrained measure
+// guarded queries on every host.
 func BenchmarkConstrainedTemporal(b *testing.B) {
 	const hubs = 64
 	const fanout = 256

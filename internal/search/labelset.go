@@ -2,7 +2,7 @@ package search
 
 import (
 	"context"
-	"sort"
+	"sync"
 
 	"tgminer/internal/tgraph"
 )
@@ -16,9 +16,8 @@ import (
 // lifetime. Matching minimal windows (rather than every k-subset) keeps the
 // match count comparable to the pattern-query semantics.
 //
-// The event builder and sliding-window sweep are host-independent so the
-// static Engine and the live generation host (live.go) share them; only the
-// edge iteration differs per host.
+// The path runs on a pinned cut (cut.go): label events are extracted per
+// view, merged across views in time order, and swept once.
 
 // lsEvent is one occurrence of a queried label on the edge stream.
 type lsEvent struct {
@@ -37,8 +36,9 @@ func labelNeed(labels []tgraph.Label) map[tgraph.Label]int {
 }
 
 // labelSetEvents builds the label events — each node's occurrences on the
-// edge stream, restricted to queried labels — from a host's edge iteration.
-// A self-loop edge has one distinct endpoint and contributes exactly one
+// edge stream, restricted to queried labels — from a view's edge iteration,
+// which yields edges in time order, so the events come out time-sorted. A
+// self-loop edge has one distinct endpoint and contributes exactly one
 // event. numEdges only sizes the allocation.
 func labelSetEvents(need map[tgraph.Label]int, numEdges int, forEach func(func(tgraph.Edge) bool), labelOf func(tgraph.NodeID) tgraph.Label) []lsEvent {
 	evs := make([]lsEvent, 0, numEdges)
@@ -53,8 +53,62 @@ func labelSetEvents(need map[tgraph.Label]int, numEdges int, forEach func(func(t
 		}
 		return true
 	})
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].time < evs[j].time })
 	return evs
+}
+
+// mergeEvents merges per-view time-sorted label-event lists into one
+// time-sorted stream (ties toward the lower view, deterministically; a
+// single edge's src-then-dst event order is preserved because both events
+// sit adjacent in one view's list).
+func mergeEvents(perView [][]lsEvent) []lsEvent {
+	if len(perView) == 1 {
+		return perView[0]
+	}
+	total := 0
+	for _, evs := range perView {
+		total += len(evs)
+	}
+	out := make([]lsEvent, 0, total)
+	idx := make([]int, len(perView))
+	for len(out) < total {
+		best := -1
+		for i, evs := range perView {
+			if idx[i] >= len(evs) {
+				continue
+			}
+			if best == -1 || evs[idx[i]].time < perView[best][idx[best]].time {
+				best = i
+			}
+		}
+		out = append(out, perView[best][idx[best]])
+		idx[best]++
+	}
+	return out
+}
+
+// findLabelSet extracts each view's label events — inline for one view, in
+// parallel for several — merges them, and sweeps the merged stream.
+func findLabelSet(ctx context.Context, c *cut, labels []tgraph.Label, opts Options) (Result, error) {
+	need := labelNeed(labels)
+	perView := make([][]lsEvent, len(c.views))
+	events := func(i int) {
+		v := c.views[i]
+		perView[i] = labelSetEvents(need, v.numEdges(), v.forEachEdge, func(n tgraph.NodeID) tgraph.Label { return c.labels[n] })
+	}
+	if len(c.views) == 1 {
+		events(0)
+	} else {
+		var wg sync.WaitGroup
+		for i := range c.views {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				events(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+	return labelSetSweep(ctx, mergeEvents(perView), need, opts)
 }
 
 // labelSetSweep runs the sliding-window scan over the label events,
@@ -118,37 +172,4 @@ func labelSetSweep(ctx context.Context, evs []lsEvent, need map[tgraph.Label]int
 		}
 	}
 	return res.finish(), nil
-}
-
-// FindLabelSet reports the minimal windows covering the query label
-// multiset. It is the background-context compatibility form of
-// FindLabelSetContext.
-func (e *Engine) FindLabelSet(labels []tgraph.Label, opts Options) Result {
-	r, _ := e.FindLabelSetContext(context.Background(), labels, opts)
-	return r
-}
-
-// FindLabelSetContext evaluates a NodeSet query under a context: the sweep
-// polls the context cooperatively and on cancellation returns the matches
-// found so far together with ctx.Err().
-func (e *Engine) FindLabelSetContext(ctx context.Context, labels []tgraph.Label, opts Options) (Result, error) {
-	opts = opts.normalize()
-	if len(labels) == 0 {
-		return Result{}, nil
-	}
-	// Up-front poll: with no label events the sweep never polls, and a
-	// dead context would be silently swallowed.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	need := labelNeed(labels)
-	forEach := func(fn func(tgraph.Edge) bool) {
-		for _, ed := range e.g.Edges() {
-			if !fn(ed) {
-				return
-			}
-		}
-	}
-	evs := labelSetEvents(need, e.g.NumEdges(), forEach, e.g.LabelOf)
-	return labelSetSweep(ctx, evs, need, opts)
 }

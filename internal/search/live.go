@@ -1,20 +1,22 @@
 package search
 
-// This file implements the live (incrementally growing) temporal-graph
-// engine for continuous monitoring: the immutable CSR indexes of Engine
-// wrapped with an append-only tail plus periodic compaction, and an optional
-// sliding window via EvictBefore. Queries see base + tail as one edge
-// sequence in global position order, so a Live engine answers every query
-// exactly as a static Engine built over the equivalent edge set would
-// (differentially tested in live_test.go).
+// This file implements the write side of the live (incrementally growing)
+// temporal-graph engine for continuous monitoring: the immutable CSR indexes
+// of Engine wrapped with an append-only tail plus periodic compaction, and
+// an optional sliding window via EvictBefore. It holds no query code: a
+// Live is a host of the shared query surface (Queries, cut.go) whose pin
+// contributes one genView — base + tail as one edge sequence in global
+// position order — so a Live answers every query exactly as a static Engine
+// built over the equivalent edge set would (differentially tested in
+// live_test.go), by running the very same matchers.
 //
 // Concurrency is RCU-style: all mutable state lives in an immutable
 // generation value published through an atomic pointer, and the common-case
 // Append publishes nothing at all — it appends into pre-sized storage and
 // advances an atomic tail length. Writers (Append/EvictBefore/Compact,
 // serialized by a mutex among themselves) build the next state and publish
-// it; readers capture a genView — one generation plus the tail prefix
-// published at capture time — and run against it for their whole lifetime
+// it; a query pins a genView — one generation plus the tail prefix
+// published at capture time — and runs against it for its whole lifetime
 // without taking any lock, so a long-lived StreamTemporal never blocks
 // ingestion. Four disciplines make the shared storage safe:
 //
@@ -46,16 +48,13 @@ package search
 //     view's storage intact until the garbage collector reclaims it.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"tgminer/internal/gspan"
 	"tgminer/internal/tgraph"
 )
 
@@ -251,78 +250,21 @@ func (v genView) lastTime() int64 {
 	return v.g.lastTime
 }
 
+// baseEdges returns the compacted prefix's edge array: global positions
+// [0, g.baseEdges), the tail following on from there.
+func (v genView) baseEdges() []tgraph.Edge {
+	if v.g.base == nil {
+		return nil
+	}
+	return v.g.base.g.Edges()
+}
+
 // edgeAt returns the edge at a global position.
 func (v genView) edgeAt(pos int32) tgraph.Edge {
 	if pos < v.g.baseEdges {
 		return v.g.base.g.EdgeAt(int(pos))
 	}
 	return v.tail[pos-v.g.baseEdges]
-}
-
-// iterTail iterates a tail posList's positions strictly after `after` and
-// below this view's end, until fn returns false; reports whether the scan
-// ran to completion.
-func (v genView) iterTail(pl *posList, after int32, fn func(int32) bool) bool {
-	if pl == nil {
-		return true
-	}
-	list := pl.view()
-	end := v.end()
-	i := sort.Search(len(list), func(i int) bool { return list[i] > after })
-	for ; i < len(list); i++ {
-		pos := list[i]
-		if pos >= end {
-			return true
-		}
-		if !fn(pos) {
-			return false
-		}
-	}
-	return true
-}
-
-// forEachPair iterates live positions of edges with endpoint labels
-// (src, dst) strictly after `after`, in increasing order, until fn returns
-// false. Base and tail segments chain naturally: every tail position is
-// greater than every base position.
-func (v genView) forEachPair(src, dst tgraph.Label, after int32, fn func(int32) bool) {
-	if after < v.g.floor-1 {
-		after = v.g.floor - 1
-	}
-	if v.g.base != nil {
-		if !iterAfterOK(v.g.base.pairPositions(src, dst), after, fn) {
-			return
-		}
-	}
-	v.iterTail(v.g.pair[pairKey{src, dst}], after, fn)
-}
-
-// forEachOut iterates live positions of edges with node n as source,
-// strictly after `after`, until fn returns false.
-func (v genView) forEachOut(n tgraph.NodeID, after int32, fn func(int32) bool) {
-	if after < v.g.floor-1 {
-		after = v.g.floor - 1
-	}
-	if v.g.base != nil && int(n) < v.g.base.g.NumNodes() {
-		if !iterAfterOK(v.g.base.outAt(n), after, fn) {
-			return
-		}
-	}
-	v.iterTail(v.g.tailOut[n], after, fn)
-}
-
-// forEachIn iterates live positions of edges with node n as destination,
-// strictly after `after`, until fn returns false.
-func (v genView) forEachIn(n tgraph.NodeID, after int32, fn func(int32) bool) {
-	if after < v.g.floor-1 {
-		after = v.g.floor - 1
-	}
-	if v.g.base != nil && int(n) < v.g.base.g.NumNodes() {
-		if !iterAfterOK(v.g.base.inAt(n), after, fn) {
-			return
-		}
-	}
-	v.iterTail(v.g.tailIn[n], after, fn)
 }
 
 // forEachEdge iterates the live (non-evicted) edges in global position
@@ -365,16 +307,14 @@ func (v genView) buildGraph() *tgraph.Graph {
 	return gr
 }
 
-// cutBefore returns the first global position whose edge time is >= t.
-func (v genView) cutBefore(t int64) int32 {
-	if v.g.base != nil {
-		edges := v.g.base.g.Edges()
-		if i := sort.Search(len(edges), func(i int) bool { return edges[i].Time >= t }); i < len(edges) {
-			return int32(i)
-		}
+// cutBefore returns the first global position whose edge time is >= t in a
+// view's edge sequence, given as its base edge array and its tail.
+func cutBefore(base, tail []tgraph.Edge, t int64) int32 {
+	i := sort.Search(len(base), func(i int) bool { return base[i].Time >= t })
+	if i == len(base) {
+		i += sort.Search(len(tail), func(i int) bool { return tail[i].Time >= t })
 	}
-	j := sort.Search(len(v.tail), func(i int) bool { return v.tail[i].Time >= t })
-	return addPos(v.g.baseEdges, pos32(j))
+	return pos32(i)
 }
 
 // CutKey identifies a Live engine's live edge set: two equal keys read from
@@ -459,17 +399,19 @@ func (r *readerSlots) oldest() (count int, minEnd int32) {
 // because position order is time order — and the space is reclaimed by the
 // rebuild compaction once the evicted prefix reaches half the edge array.
 //
-// Live is safe for concurrent use and reads are lock-free: every query —
-// including a StreamTemporal iterated over minutes — runs against the
-// immutable view current when it started and never blocks
-// Append/EvictBefore/Compact, which serialize among themselves on a writer
-// mutex. The common-case Append allocates nothing and publishes only an
+// Live is safe for concurrent use and reads are lock-free: every query
+// (the embedded Queries) — including a StreamTemporal iterated over minutes
+// — runs against the immutable view current when it started and never
+// blocks Append/EvictBefore/Compact, which serialize among themselves on a
+// writer mutex. The common-case Append allocates nothing and publishes only an
 // atomic tail length; structural changes (new label pair, new node, grown
 // tail storage, eviction, compaction) publish a new generation atomically.
 //
 // For multi-writer workloads, ShardedLive (sharded.go) runs N independent
 // Live shards behind a cross-shard query planner.
 type Live struct {
+	Queries
+
 	mu   sync.Mutex // serializes writers; readers never take it
 	opts LiveOptions
 
@@ -486,8 +428,6 @@ type Live struct {
 	retained atomic.Int64
 
 	readers readerSlots // in-flight query accounting for Stats
-
-	used sync.Pool // *usedSet per-query scratch
 }
 
 // NewLive returns an empty live engine.
@@ -500,7 +440,7 @@ func NewLive(opts LiveOptions) *Live {
 		pair:     make(map[pairKey]*posList),
 		lastTime: -1,
 	})
-	l.used.New = func() any { return new(usedSet) }
+	l.h = l
 	return l
 }
 
@@ -511,6 +451,17 @@ func (l *Live) gen() *generation { return l.cur.Load() }
 // snap captures the current view: the freshest consistent snapshot a query
 // can run against.
 func (l *Live) snap() genView { return l.gen().view() }
+
+// pin appends the engine's current view to a cut and registers the query
+// with the reader accounting.
+func (l *Live) pin(c *cut) {
+	v := l.snap()
+	c.views = append(c.views, v)
+	c.slots = append(c.slots, readerSlot{&l.readers, l.readers.acquire(v.end())})
+	if len(v.g.labels) > len(c.labels) {
+		c.labels = v.g.labels
+	}
+}
 
 // AddNode appends a node with the given label and returns its NodeID.
 // The successor generation gets a fresh tail counter so views of the
@@ -681,7 +632,7 @@ func (l *Live) EvictBefore(t int64) {
 	defer l.mu.Unlock()
 	g := l.gen()
 	v := g.view()
-	if cut := v.cutBefore(t); cut > g.floor {
+	if cut := cutBefore(v.baseEdges(), v.tail, t); cut > g.floor {
 		ng := *g
 		ng.floor = cut
 		ng.lastTime = v.lastTime()
@@ -918,260 +869,3 @@ func (l *Live) NumEdges() int { return l.snap().numEdges() }
 
 // LastTime reports the largest appended timestamp (-1 when empty).
 func (l *Live) LastTime() int64 { return l.snap().lastTime() }
-
-// liveState is the temporal matcher over a live view: the same compiled
-// step-program driver as tState (stream.go) — see tState for the
-// (k, rep) recursion contract — iterating base + tail as one position
-// sequence. The two match methods are deliberate twins — kept monomorphic
-// so the static hot path pays no interface dispatch. A change to either
-// MUST be mirrored in the other (and in the cross-shard shardedState,
-// sharded.go); TestLiveMatchesStaticDifferential enforces agreement.
-type liveState struct {
-	matchCore
-	v genView
-}
-
-func (s *liveState) match(k, rep int, lastPos int32, lastTime int64) {
-	if s.stepCancelled() {
-		return
-	}
-	if k == len(s.prog.steps) {
-		s.emit(Match{Start: s.startTime, End: lastTime})
-		return
-	}
-	st := &s.prog.steps[k]
-	if rep >= st.minRep {
-		s.match(k+1, 0, lastPos, lastTime)
-		if s.done {
-			return
-		}
-	}
-	if rep >= st.maxRep {
-		return
-	}
-	lo := st.loTime(s.startTime, lastTime)
-	hi := st.hiTime(s.startTime, lastTime, s.opts.Window)
-	if hi >= 0 && lo > hi {
-		return
-	}
-	after := lastPos
-	if lo > lastTime+1 {
-		// Guard-driven skip-ahead on the constrained path only, as in
-		// tState: cutBefore is the view's time->position binary search.
-		if cut := s.v.cutBefore(lo) - 1; cut > after {
-			after = cut
-		}
-	}
-	pe := st.pe
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(pos int32) {
-		ge := s.v.edgeAt(pos)
-		if hi >= 0 && ge.Time > hi {
-			return
-		}
-		if (pe.Src == pe.Dst) != (ge.Src == ge.Dst) {
-			return
-		}
-		if s.v.g.labels[ge.Src] != st.srcLab || s.v.g.labels[ge.Dst] != st.dstLab {
-			return
-		}
-		s.bindEdge(pe, ge, func() { s.match(k, rep+1, pos, ge.Time) })
-	}
-	switch {
-	case ms != -1:
-		s.v.forEachOut(ms, after, func(pos int32) bool {
-			if hi >= 0 && s.v.edgeAt(pos).Time > hi {
-				return false
-			}
-			if md != -1 && s.v.edgeAt(pos).Dst != md {
-				return true
-			}
-			try(pos)
-			return !s.done
-		})
-	case md != -1:
-		s.v.forEachIn(md, after, func(pos int32) bool {
-			if hi >= 0 && s.v.edgeAt(pos).Time > hi {
-				return false
-			}
-			try(pos)
-			return !s.done
-		})
-	default:
-		// Reached when neither endpoint is bound: the first step, and any
-		// step whose predecessors were all skipped optional hops.
-		s.v.forEachPair(st.srcLab, st.dstLab, after, func(pos int32) bool {
-			try(pos)
-			return !s.done
-		})
-	}
-}
-
-// StreamTemporal yields the distinct intervals where the temporal pattern
-// embeds in the live edge set, with the same semantics as
-// Engine.StreamTemporal. The stream runs against the view current when it
-// started: it observes one consistent edge set for its whole lifetime,
-// holds no lock, and never blocks Append/EvictBefore/Compact — calling
-// them from inside the consumer loop body is safe (their effects become
-// visible to the next query, not the running stream).
-func (l *Live) StreamTemporal(ctx context.Context, p *tgraph.Pattern, opts Options) iter.Seq2[Match, error] {
-	opts = opts.normalize()
-	return func(yield func(Match, error) bool) {
-		if p.NumEdges() == 0 {
-			return
-		}
-		prog, err := compileProgram(p, opts.Constraints)
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		v := l.snap()
-		slot := l.readers.acquire(v.end())
-		defer l.readers.release(slot)
-		res := newRootDedup(opts.Limit, func(m Match) bool { return yield(m, nil) })
-		defer res.release()
-		st := &liveState{v: v}
-		st.p = p
-		st.prog = prog
-		st.opts = opts
-		st.res = res
-		st.ctx = ctx
-		u := l.used.Get().(*usedSet)
-		u.reset(len(v.g.labels))
-		st.init(p.NumNodes(), u)
-		defer l.used.Put(u)
-		first := &prog.steps[0]
-		v.forEachPair(first.srcLab, first.dstLab, v.g.floor-1, func(pos int32) bool {
-			if st.rootCancelled() {
-				return false
-			}
-			res.nextRoot()
-			ge := v.edgeAt(pos)
-			if (first.pe.Src == first.pe.Dst) != (ge.Src == ge.Dst) {
-				return true
-			}
-			st.bindEdge(first.pe, ge, func() {
-				st.startTime = ge.Time
-				st.match(0, 1, pos, ge.Time)
-			})
-			return !st.done
-		})
-		finishStream(yield, res, st.ctxErr)
-	}
-}
-
-// FindTemporalContext collects StreamTemporal into a deduplicated Result in
-// (Start, End) order, returning partial matches plus ctx.Err() on
-// cancellation.
-func (l *Live) FindTemporalContext(ctx context.Context, p *tgraph.Pattern, opts Options) (Result, error) {
-	return collectStream(l.StreamTemporal(ctx, p, opts))
-}
-
-// FindTemporal is the background-context compatibility form of
-// FindTemporalContext.
-func (l *Live) FindTemporal(p *tgraph.Pattern, opts Options) Result {
-	r, _ := l.FindTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// ntLiveState is the non-temporal matcher over a live view, the twin of
-// ntState (search.go) — the same deliberate monomorphic-twin pattern as
-// tState/liveState. A semantic change to either MUST be mirrored in the
-// other; TestLiveMatchesStaticDifferential enforces agreement.
-type ntLiveState struct {
-	ntCore
-	v genView
-}
-
-func (s *ntLiveState) match(k int) {
-	if s.stepCancelled() {
-		return
-	}
-	if k == len(s.order) {
-		s.res.add(Match{Start: s.minT, End: s.maxT})
-		if s.res.full() {
-			s.done = true
-		}
-		return
-	}
-	pe := s.order[k]
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(pos int32) bool {
-		ge := s.v.edgeAt(pos)
-		ok := s.tryEdge(k, pe, ge, int64(pos), s.v.g.labels[ge.Src], s.v.g.labels[ge.Dst], func() { s.match(k + 1) })
-		return ok && !s.done
-	}
-	switch {
-	case ms != -1:
-		s.v.forEachOut(ms, s.v.g.floor-1, func(pos int32) bool {
-			if md != -1 && s.v.edgeAt(pos).Dst != md {
-				return true
-			}
-			return try(pos)
-		})
-	case md != -1:
-		s.v.forEachIn(md, s.v.g.floor-1, try)
-	default:
-		s.v.forEachPair(s.p.Labels[pe.Src], s.p.Labels[pe.Dst], s.v.g.floor-1, try)
-	}
-}
-
-// FindNonTemporalContext reports the distinct intervals where the collapsed
-// (non-temporal) pattern embeds in the live edge set regardless of edge
-// order, with Engine.FindNonTemporalContext semantics. Lock-free: the query
-// runs against the view current at the call.
-func (l *Live) FindNonTemporalContext(ctx context.Context, p *gspan.Pattern, opts Options) (Result, error) {
-	opts = opts.normalize()
-	if p.NumEdges() == 0 {
-		return Result{}, nil
-	}
-	// Up-front poll, as in Engine.FindNonTemporalContext.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	v := l.snap()
-	slot := l.readers.acquire(v.end())
-	defer l.readers.release(slot)
-	st := &ntLiveState{v: v}
-	u := l.used.Get().(*usedSet)
-	u.reset(len(v.g.labels))
-	defer l.used.Put(u)
-	st.initNT(ctx, p, opts, u)
-	st.match(0)
-	return st.finish()
-}
-
-// FindNonTemporal is the background-context compatibility form of
-// FindNonTemporalContext.
-func (l *Live) FindNonTemporal(p *gspan.Pattern, opts Options) Result {
-	r, _ := l.FindNonTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// FindLabelSetContext finds minimal time windows in the live edge set
-// containing distinct nodes covering the query label multiset, with
-// Engine.FindLabelSetContext semantics. Lock-free: the sweep runs against
-// the view current at the call.
-func (l *Live) FindLabelSetContext(ctx context.Context, labels []tgraph.Label, opts Options) (Result, error) {
-	opts = opts.normalize()
-	if len(labels) == 0 {
-		return Result{}, nil
-	}
-	// Up-front poll, as in Engine.FindLabelSetContext.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	v := l.snap()
-	slot := l.readers.acquire(v.end())
-	defer l.readers.release(slot)
-	need := labelNeed(labels)
-	evs := labelSetEvents(need, v.numEdges(), v.forEachEdge, func(n tgraph.NodeID) tgraph.Label { return v.g.labels[n] })
-	return labelSetSweep(ctx, evs, need, opts)
-}
-
-// FindLabelSet is the background-context compatibility form of
-// FindLabelSetContext.
-func (l *Live) FindLabelSet(labels []tgraph.Label, opts Options) Result {
-	r, _ := l.FindLabelSetContext(context.Background(), labels, opts)
-	return r
-}

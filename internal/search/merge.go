@@ -21,7 +21,7 @@ package search
 // both bounded relative to the tail by the auto-compaction eligibility
 // guard in Append — versus O((base+tail) log(base+tail)) for the rebuild,
 // so compaction cost scales with the tail, not the base
-// (BenchmarkLiveCompact, BENCH_PR4.json).
+// (BenchmarkLiveCompact; tgbench's search.compact_ms).
 //
 // Eviction: the merge CARRIES the floor into the merged generation rather
 // than rebasing positions — evicted edges stay in the arrays and queries
@@ -172,7 +172,7 @@ func mergeEngine(v genView) *Engine {
 		e.pairExt[k] = pairSeg{pos: extendPositions(seg.pos, ext, seg.owned), owned: true}
 	}
 
-	e.used.New = func() any { return new(usedSet) }
+	e.initHost()
 	return e
 }
 

@@ -18,8 +18,8 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sort"
-	"sync"
 
 	"tgminer/internal/gspan"
 	"tgminer/internal/tgraph"
@@ -43,6 +43,8 @@ const maxDensePairCells = 1 << 24
 // slice. Build once with NewEngine, then run any number of queries. Engines
 // are safe for concurrent queries; per-query scratch state is pooled.
 type Engine struct {
+	Queries
+
 	g *tgraph.Graph
 
 	outOff []int32 // node v's out positions: outPos[outOff[v]:outOff[v+1]]
@@ -76,7 +78,9 @@ type Engine struct {
 	flat     *Engine // last fully rebuilt (flat CSR) ancestor; nil when flat
 	pairExt  map[pairKey]pairSeg
 
-	used sync.Pool // *usedSet per-query scratch
+	// self is the engine seen as a live generation — this engine as the
+	// base, no tail, nothing evicted — which is what its queries pin.
+	self generation
 }
 
 // pairSeg is a merged engine's position list for one label pair: the flat
@@ -138,8 +142,20 @@ func NewEngine(g *tgraph.Graph) *Engine {
 	} else {
 		e.buildSparsePairs(edges)
 	}
-	e.used.New = func() any { return new(usedSet) }
+	e.initHost()
 	return e
+}
+
+// initHost makes a fully indexed engine queryable: a static engine is a
+// one-view cut over the generation that has it as base and an empty tail.
+func (e *Engine) initHost() {
+	e.self = generation{base: e, baseEdges: pos32(e.g.NumEdges()), labels: e.g.Labels()}
+	e.h = e
+}
+
+func (e *Engine) pin(c *cut) {
+	c.views = append(c.views, genView{g: &e.self})
+	c.labels = e.self.labels
 }
 
 func (e *Engine) buildDensePairs(edges []tgraph.Edge, cells int) {
@@ -259,13 +275,6 @@ func (u *usedSet) has(v tgraph.NodeID) bool { return u.stamp[v] == u.cur }
 func (u *usedSet) add(v tgraph.NodeID)      { u.stamp[v] = u.cur }
 func (u *usedSet) remove(v tgraph.NodeID)   { u.stamp[v] = 0 }
 
-// getUsed leases a usedSet sized for the host graph from the engine pool.
-func (e *Engine) getUsed() *usedSet {
-	u := e.used.Get().(*usedSet)
-	u.reset(e.g.NumNodes())
-	return u
-}
-
 // Graph returns the indexed host graph.
 func (e *Engine) Graph() *tgraph.Graph { return e.g }
 
@@ -301,274 +310,132 @@ type Result struct {
 	Truncated bool
 }
 
-// FindTemporal reports the distinct intervals where the temporal pattern
-// embeds with edge order preserved. It is a compatibility wrapper that
-// collects FindTemporalContext with a background context; streaming callers
-// should range over StreamTemporal instead.
-func (e *Engine) FindTemporal(p *tgraph.Pattern, opts Options) Result {
-	r, _ := e.FindTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// posOfTime returns the first global edge position whose time is >= t.
-// Positions are time-ordered (the Builder enforces strictly increasing
-// timestamps), so this is the guard-pruning skip-ahead for constrained
-// temporal steps. Works for merged-mode engines too: their host graph is
-// the fully merged, time-sorted edge sequence.
-func (e *Engine) posOfTime(t int64) int32 {
-	edges := e.g.Edges()
-	return int32(sort.Search(len(edges), func(i int) bool { return edges[i].Time >= t }))
-}
-
-// iterAfter calls fn on each position strictly greater than after, in
-// order, until fn returns false.
-func iterAfter(list []int32, after int32, fn func(int32) bool) {
-	iterAfterOK(list, after, fn)
-}
-
-// iterAfterOK is iterAfter reporting whether the scan ran to completion
-// (false when fn stopped it), so two-segment indexes can chain scans.
-func iterAfterOK(list []int32, after int32, fn func(int32) bool) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i] > after })
-	for ; i < len(list); i++ {
-		if !fn(list[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// FindNonTemporal reports the distinct intervals where the collapsed
-// (non-temporal) pattern embeds regardless of edge order, bounded by the
-// window. It is the background-context compatibility form of
-// FindNonTemporalContext.
-func (e *Engine) FindNonTemporal(p *gspan.Pattern, opts Options) Result {
-	r, _ := e.FindNonTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// FindNonTemporalContext evaluates the collapsed (non-temporal) pattern
-// under a context: the search polls the context cooperatively (every
-// ctxCheckMask+1 steps) and on cancellation returns the distinct intervals
-// found so far together with ctx.Err().
-func (e *Engine) FindNonTemporalContext(ctx context.Context, p *gspan.Pattern, opts Options) (Result, error) {
-	opts = opts.normalize()
-	if p.NumEdges() == 0 {
-		return Result{}, nil
-	}
-	// Up-front poll: the in-recursion probe is throttled, so a search over
-	// a small host could otherwise finish without noticing a dead context.
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	st := &ntState{e: e}
-	st.initNT(ctx, p, opts, e.getUsed())
-	defer e.used.Put(st.used)
-	st.match(0)
-	return st.finish()
-}
-
-// ntCore is the host-independent non-temporal matcher state shared by the
-// static (ntState) and live (ntLiveState, live.go) matchers: pattern,
-// result accumulation, bindings, window bookkeeping, and cooperative
-// cancellation — the non-temporal counterpart of matchCore.
-type ntCore struct {
-	p       *gspan.Pattern
-	opts    Options
-	res     *resultSet
-	order   []gspan.Edge
-	mapping []tgraph.NodeID
-	used    *usedSet
-	// posUsed lists the host edge positions bound so far; patterns are a
-	// handful of edges, so a linear scan beats any map or bitset. Keys are
-	// int64 so the sharded matcher can disambiguate per-shard position
-	// spaces ((shard << 32) | pos); single-host matchers pass plain
-	// positions.
-	posUsed    []int64
+// ntRun is one non-temporal search over a cut: the collapsed pattern's
+// edges are bound in a connected order, each to any unused host edge —
+// before or after the ones already bound — whose endpoints fit and that
+// keeps the match inside the window. Candidates at every level iterate in
+// global time order; level 0, the root level, restricts to view rootView so
+// that fan-out workers own disjoint roots, and records each root candidate's
+// time in rootKey (the planner's merge key). The scratch's posUsed lists
+// the host edges bound so far as shardPos keys; patterns are a handful of
+// edges, so a linear scan beats any map or bitset.
+type ntRun struct {
+	runCore
+	p          *gspan.Pattern
+	opts       Options
+	res        *resultSet
+	order      []gspan.Edge
+	rootView   int
+	rootKey    int64
 	minT, maxT int64
-	done       bool
-	ctx        context.Context
-	ctxErr     error
-	steps      int
 }
 
-func (s *ntCore) initNT(ctx context.Context, p *gspan.Pattern, opts Options, used *usedSet) {
-	s.ctx = ctx
-	s.p = p
-	s.opts = opts
-	s.res = &resultSet{limit: opts.Limit}
-	s.order = connectedEdgeOrder(p)
-	s.mapping = make([]tgraph.NodeID, p.NumNodes())
-	for i := range s.mapping {
-		s.mapping[i] = -1
-	}
-	s.used = used
-	s.posUsed = make([]int64, 0, p.NumEdges())
+// newNTRun prepares a search of p under the roots view rootView owns, on a
+// leased scratch; the caller supplies res and calls match(0).
+func newNTRun(ctx context.Context, c *cut, s *scratch, rootView int, p *gspan.Pattern, opts Options) *ntRun {
+	s.prepare(c, p.NumNodes(), p.NumEdges())
+	s.posUsed = s.posUsed[:0]
+	return &ntRun{runCore: newRunCore(ctx, c, s), p: p, opts: opts, order: connectedEdgeOrder(p), rootView: rootView}
 }
 
-// stepCancelled is the throttled in-recursion stop probe (see
-// matchCore.stepCancelled).
-func (s *ntCore) stepCancelled() bool {
-	if s.done {
-		return true
+// shardPos is the cross-view edge identity key: per-view position spaces
+// overlap, so used-edge bookkeeping keys on (view, position).
+func shardPos(shard int, pos int32) int64 {
+	return int64(shard)<<32 | int64(uint32(pos))
+}
+
+func (r *ntRun) match(k int) {
+	if r.stepCancelled() {
+		return
 	}
-	s.steps++
-	if s.steps&ctxCheckMask == 0 {
-		if err := s.ctx.Err(); err != nil {
-			s.ctxErr = err
-			s.done = true
-			return true
+	if k == len(r.order) {
+		r.res.add(Match{Start: r.minT, End: r.maxT})
+		if r.res.full() {
+			r.done = true
 		}
+		return
 	}
-	return false
-}
-
-func (s *ntCore) finish() (Result, error) {
-	return s.res.finish(), s.ctxErr
-}
-
-func (s *ntCore) posIsUsed(pos int64) bool {
-	for _, p := range s.posUsed {
-		if p == pos {
-			return true
+	pe := r.order[k]
+	ms, md := r.s.mapping[pe.Src], r.s.mapping[pe.Dst]
+	srcLab, dstLab := r.p.Labels[pe.Src], r.p.Labels[pe.Dst]
+	cs := r.c.candidates(r.s.cursors(k, len(r.c.views)), ms, md, srcLab, dstLab)
+	root := k == 0
+	if root { // nothing is bound yet, so cs holds every view's label-pair list
+		cs = cs[r.rootView : r.rootView+1]
+	}
+	// Under a window no edge later than minT+Window-1 can fit, which
+	// early-exits the time-ordered scan as the temporal guards' upper bound
+	// does. (The matching lower bound is not worth a seek: index lists are
+	// short next to the per-view time search a seek costs.)
+	hi := int64(-1)
+	if !root && r.opts.Window > 0 {
+		hi = r.minT + r.opts.Window - 1
+	}
+	for i := range cs {
+		cs[i].seek(-1)
+	}
+	for !r.done {
+		i := minCursor(cs)
+		if i < 0 || (root && r.rootCancelled()) {
+			break
 		}
+		c := &cs[i]
+		ge := c.edge
+		if hi >= 0 && ge.Time > hi {
+			break // merged order is global time order: nothing later fits
+		}
+		if root {
+			r.rootKey = ge.Time
+		}
+		if md == -1 || ge.Dst == md {
+			r.tryEdge(k, pe, ge, shardPos(c.shard, c.pos), srcLab, dstLab)
+		}
+		c.advance()
 	}
-	return false
 }
 
 // tryEdge attempts to bind pattern edge pe (the k-th in matching order) to
-// host edge ge at position key pos whose endpoints carry srcLab/dstLab: the
-// used-position, self-loop-parity, label, and window-feasibility checks,
-// then the recursion via rec. It reports whether the caller's candidate
-// scan should continue.
-func (s *ntCore) tryEdge(k int, pe gspan.Edge, ge tgraph.Edge, pos int64, srcLab, dstLab tgraph.Label, rec func()) bool {
-	if s.posIsUsed(pos) {
-		return true
+// host edge ge with identity key pos: the used-edge, self-loop-parity,
+// label, and window-feasibility checks, then the recursion.
+func (r *ntRun) tryEdge(k int, pe gspan.Edge, ge tgraph.Edge, pos int64, srcLab, dstLab tgraph.Label) {
+	if slices.Contains(r.s.posUsed, pos) {
+		return
 	}
 	if (pe.Src == pe.Dst) != (ge.Src == ge.Dst) {
-		return true
+		return
 	}
-	if srcLab != s.p.Labels[pe.Src] || dstLab != s.p.Labels[pe.Dst] {
-		return true
+	if r.c.labels[ge.Src] != srcLab || r.c.labels[ge.Dst] != dstLab {
+		return
 	}
 	// Window feasibility.
-	nMin, nMax := s.minT, s.maxT
+	oMin, oMax := r.minT, r.maxT
+	nMin, nMax := min(oMin, ge.Time), max(oMax, ge.Time)
 	if k == 0 {
 		nMin, nMax = ge.Time, ge.Time
-	} else {
-		if ge.Time < nMin {
-			nMin = ge.Time
-		}
-		if ge.Time > nMax {
-			nMax = ge.Time
-		}
-		if s.opts.Window > 0 && nMax-nMin+1 > s.opts.Window {
-			return true
-		}
-	}
-	oMin, oMax := s.minT, s.maxT
-	s.minT, s.maxT = nMin, nMax
-	s.posUsed = append(s.posUsed, pos)
-	s.bindPair(pe, ge, rec)
-	s.posUsed = s.posUsed[:len(s.posUsed)-1]
-	s.minT, s.maxT = oMin, oMax
-	return !s.done
-}
-
-// ntState is the non-temporal matcher over a static Engine.
-//
-// ntState.match and ntLiveState.match (live.go) are deliberate twins, kept
-// monomorphic per host exactly like tState/liveState; a semantic change to
-// either MUST be mirrored in the other, and the live==static differential
-// property test enforces agreement.
-type ntState struct {
-	ntCore
-	e *Engine
-}
-
-func (s *ntState) match(k int) {
-	if s.stepCancelled() {
+	} else if r.opts.Window > 0 && nMax-nMin+1 > r.opts.Window {
 		return
 	}
-	if k == len(s.order) {
-		s.res.add(Match{Start: s.minT, End: s.maxT})
-		if s.res.full() {
-			s.done = true
-		}
-		return
-	}
-	pe := s.order[k]
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(pos int32) bool {
-		ge := s.e.g.EdgeAt(int(pos))
-		return s.tryEdge(k, pe, ge, int64(pos), s.e.g.LabelOf(ge.Src), s.e.g.LabelOf(ge.Dst), func() { s.match(k + 1) })
-	}
-	switch {
-	case ms != -1:
-		for _, pos := range s.e.outAt(ms) {
-			if md != -1 && s.e.g.EdgeAt(int(pos)).Dst != md {
-				continue
-			}
-			if !try(pos) {
-				break
-			}
-		}
-	case md != -1:
-		for _, pos := range s.e.inAt(md) {
-			if !try(pos) {
-				break
-			}
-		}
-	default:
-		for _, pos := range s.e.pairPositions(s.p.Labels[pe.Src], s.p.Labels[pe.Dst]) {
-			if !try(pos) {
-				break
-			}
-		}
+	if bs, bd, ok := r.bind(pe.Src, pe.Dst, ge); ok {
+		r.s.posUsed = append(r.s.posUsed, pos)
+		r.minT, r.maxT = nMin, nMax
+		r.match(k + 1)
+		r.minT, r.maxT = oMin, oMax
+		r.s.posUsed = r.s.posUsed[:len(r.s.posUsed)-1]
+		r.unbind(pe.Src, pe.Dst, ge, bs, bd)
 	}
 }
 
-func (s *ntCore) bindPair(pe gspan.Edge, ge tgraph.Edge, fn func()) {
-	var boundSrc, boundDst bool
-	if s.mapping[pe.Src] == -1 {
-		if s.used.has(ge.Src) {
-			return
-		}
-		s.mapping[pe.Src] = ge.Src
-		s.used.add(ge.Src)
-		boundSrc = true
-	} else if s.mapping[pe.Src] != ge.Src {
-		return
+// findNonTemporal schedules the non-temporal search over the pinned cut in
+// s: a one-view cut searches inline on this goroutine, an N-view cut fans
+// out (sharded.go). Either way the same ntRun.match does the work.
+func findNonTemporal(ctx context.Context, s *scratch, p *gspan.Pattern, opts Options) (Result, error) {
+	if len(s.views) > 1 {
+		return fanOutNonTemporal(ctx, &s.cut, p, opts)
 	}
-	if pe.Src != pe.Dst {
-		if s.mapping[pe.Dst] == -1 {
-			if s.used.has(ge.Dst) {
-				if boundSrc {
-					s.mapping[pe.Src] = -1
-					s.used.remove(ge.Src)
-				}
-				return
-			}
-			s.mapping[pe.Dst] = ge.Dst
-			s.used.add(ge.Dst)
-			boundDst = true
-		} else if s.mapping[pe.Dst] != ge.Dst {
-			if boundSrc {
-				s.mapping[pe.Src] = -1
-				s.used.remove(ge.Src)
-			}
-			return
-		}
-	}
-	fn()
-	if boundSrc {
-		s.mapping[pe.Src] = -1
-		s.used.remove(ge.Src)
-	}
-	if boundDst {
-		s.mapping[pe.Dst] = -1
-		s.used.remove(ge.Dst)
-	}
+	r := newNTRun(ctx, &s.cut, s, 0, p, opts)
+	r.res = &resultSet{limit: opts.Limit}
+	r.match(0)
+	return r.res.finish(), r.ctxErr
 }
 
 // connectedEdgeOrder orders pattern edges so each edge (after the first)
@@ -605,12 +472,17 @@ func connectedEdgeOrder(p *gspan.Pattern) []gspan.Edge {
 	return ordered
 }
 
-// resultSet deduplicates match intervals with a cap.
+// resultSet deduplicates match intervals with a cap. It collects them, or —
+// when emit is set, as a fan-out worker does — streams each new one to emit,
+// whose false return halts the search.
 type resultSet struct {
 	limit     int
 	seen      map[Match]struct{}
 	matches   []Match
+	emit      func(Match) bool
+	count     int
 	truncated bool
+	halted    bool
 }
 
 func (r *resultSet) add(m Match) {
@@ -624,7 +496,7 @@ func (r *resultSet) add(m Match) {
 			return
 		}
 	}
-	if len(r.matches) >= r.limit {
+	if r.count >= r.limit {
 		// A distinct match beyond the cap: genuinely truncated.
 		r.truncated = true
 		return
@@ -633,13 +505,18 @@ func (r *resultSet) add(m Match) {
 		r.seen = make(map[Match]struct{})
 	}
 	r.seen[m] = struct{}{}
-	r.matches = append(r.matches, m)
+	r.count++
+	if r.emit == nil {
+		r.matches = append(r.matches, m)
+	} else if !r.emit(m) {
+		r.halted = true
+	}
 }
 
-// full reports whether the search should stop: only once a distinct
-// over-the-cap match has proven truncation (the search runs on at the cap
-// so duplicates cannot masquerade as truncation).
-func (r *resultSet) full() bool { return r.truncated }
+// full reports whether the search should stop: once emit asked to, or once
+// a distinct over-the-cap match has proven truncation (the search runs on
+// at the cap so duplicates cannot masquerade as truncation).
+func (r *resultSet) full() bool { return r.truncated || r.halted }
 
 func (r *resultSet) finish() Result {
 	sortMatches(r.matches)

@@ -1,13 +1,14 @@
 package search
 
 // This file implements ShardedLive, the multi-writer form of the live
-// engine: N independent Live shards, each with its own writer mutex,
-// generation chain, compaction schedule, and eviction floor, behind a
-// cross-shard query planner. Edges are partitioned by their SOURCE node
-// (tgraph.NodeShard over the global NodeID), so K producers whose entities
-// hash to different shards append fully in parallel — the single-Live
-// design serializes every writer on one mutex and caps ingest at one core
-// no matter how many producers exist (BenchmarkShardedAppend).
+// engine — N independent Live shards, each with its own writer mutex,
+// generation chain, compaction schedule, and eviction floor — and the
+// planner that schedules a query's root loop over a cut of several views.
+// Edges are partitioned by their SOURCE node (tgraph.NodeShard over the
+// global NodeID), so K producers whose entities hash to different shards
+// append fully in parallel — the single-Live design serializes every writer
+// on one mutex and caps ingest at one core no matter how many producers
+// exist (BenchmarkShardedAppend).
 //
 // Identity. NodeIDs are global: AddNode registers every node on every
 // shard under the same ID, so an edge owned by shard(src) can name a
@@ -37,25 +38,27 @@ package search
 // anything stronger would reintroduce the cross-shard synchronization
 // sharding exists to remove.
 //
-// The planner. Root candidates of a query live where their first edge
-// lives, so the root loop fans out across shards — one worker per shard,
-// the same one-worker-per-core shape as the PR 1 seed-level mining pool —
-// and every worker matches CONTINUATION edges against the full cross-shard
-// view: out-edges of a bound node live only on its own shard (ownership is
-// by source), while in-edges and label-pair candidates merge across all
-// shards in time order through posCursor/minCursor. Workers emit
-// key-ordered match streams that the planner merges back into the exact
-// sequential discovery order, deduplicating (temporal dedup is free:
-// cross-shard roots have distinct start times; non-temporal intervals
-// dedup in the merger) and enforcing Options.Limit globally with the same
-// exact-Truncated semantics as the single-host engines.
+// Queries. A ShardedLive is a host of the shared query surface (Queries,
+// cut.go) whose pin contributes one view per shard, so its queries run the
+// same matchers as Engine's and Live's over that cut. Root candidates of a
+// query live where their first edge lives, so with several views the root
+// loop fans out (fanOut, below) — one worker per view, the same
+// one-worker-per-core shape as the seed-level mining pool — and every worker
+// matches CONTINUATION edges against the whole cut: out-edges of a bound
+// node live only on its own shard (ownership is by source), while in-edges
+// and label-pair candidates merge across all views in time order through
+// posCursor/minCursor. Workers emit key-ordered match streams that
+// mergePlan merges back into the exact sequential discovery order,
+// deduplicating (temporal dedup is free: roots on different views have
+// distinct start times; non-temporal intervals dedup in the merger) and
+// enforcing Options.Limit globally with the same exact-Truncated semantics
+// as an inline run. A one-shard ShardedLive pins a one-view cut and so runs
+// inline like a plain Live.
 
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +73,8 @@ import (
 // union would, for all three query families. See the file comment for the
 // consistency model.
 type ShardedLive struct {
+	Queries
+
 	shards []*Live
 
 	mu sync.Mutex // serializes AddNode's cross-shard registration
@@ -77,14 +82,12 @@ type ShardedLive struct {
 	// lastGlobal tracks the maximum timestamp ever offered to Append, for
 	// best-effort duplicate detection (see Append). -1 when empty.
 	lastGlobal atomic.Int64
-
-	used sync.Pool // *usedSet per-query scratch, sized for the global node table
 }
 
 // NewSharded returns an empty sharded live engine with opts.Shards shards
-// (0 = GOMAXPROCS; 1 yields a single shard, making every query a direct
-// delegate to the one Live). Each shard gets its own LiveOptions copy, so
-// compaction schedules run independently.
+// (0 = GOMAXPROCS; 1 yields a single shard, whose one-view cuts run every
+// query inline exactly as a plain Live's do). Each shard gets its own
+// LiveOptions copy, so compaction schedules run independently.
 func NewSharded(opts LiveOptions) *ShardedLive {
 	n := opts.Shards
 	if n <= 0 {
@@ -95,7 +98,7 @@ func NewSharded(opts LiveOptions) *ShardedLive {
 	for i := range l.shards {
 		l.shards[i] = NewLive(opts)
 	}
-	l.used.New = func() any { return new(usedSet) }
+	l.h = l
 	return l
 }
 
@@ -256,307 +259,17 @@ func (l *ShardedLive) CutKey() []CutKey {
 	return out
 }
 
-// shardedView is a query's pinned cross-shard cut: one genView per shard
-// (each a per-shard prefix-consistent snapshot) plus the widest global node
-// label table among them. A node present in labels may be missing from an
-// individual shard's view (its AddNode had not reached that shard when the
-// view was pinned); per-shard iteration guards on the shard view's own
-// node count.
-type shardedView struct {
-	views  []genView
-	labels []tgraph.Label
-	slots  []int // per-shard reader-accounting slots
-}
-
-// pin captures one generation per shard (an atomic load each) and
-// registers the query with every shard's reader accounting.
-func (l *ShardedLive) pin() *shardedView {
-	sv := &shardedView{
-		views: make([]genView, len(l.shards)),
-		slots: make([]int, len(l.shards)),
-	}
-	for i, sh := range l.shards {
-		v := sh.snap()
-		sv.views[i] = v
-		sv.slots[i] = sh.readers.acquire(v.end())
-		if len(v.g.labels) > len(sv.labels) {
-			sv.labels = v.g.labels
-		}
-	}
-	return sv
-}
-
-// unpin releases the reader-accounting slots taken by pin.
-func (l *ShardedLive) unpin(sv *shardedView) {
-	for i, sh := range l.shards {
-		sh.readers.release(sv.slots[i])
-	}
-}
-
-// hasNode reports whether shard i's pinned view knows node n.
-func (sv *shardedView) hasNode(i int, n tgraph.NodeID) bool {
-	return int(n) < len(sv.views[i].g.labels)
-}
-
-// capPositions trims a tail posList view to positions below end.
-func capPositions(list []int32, end int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= end })
-	return list[:i]
-}
-
-// outSegs returns the two position segments (base CSR, capped tail) of
-// node n's out-edges in this view. Caller guarantees n is in range.
-func (v genView) outSegs(n tgraph.NodeID) (base, tail []int32) {
-	if v.g.base != nil && int(n) < v.g.base.g.NumNodes() {
-		base = v.g.base.outAt(n)
-	}
-	if pl := v.g.tailOut[n]; pl != nil {
-		tail = capPositions(pl.view(), v.end())
-	}
-	return base, tail
-}
-
-// inSegs returns the two position segments of node n's in-edges.
-func (v genView) inSegs(n tgraph.NodeID) (base, tail []int32) {
-	if v.g.base != nil && int(n) < v.g.base.g.NumNodes() {
-		base = v.g.base.inAt(n)
-	}
-	if pl := v.g.tailIn[n]; pl != nil {
-		tail = capPositions(pl.view(), v.end())
-	}
-	return base, tail
-}
-
-// pairSegs returns the two position segments of edges with endpoint labels
-// (src, dst).
-func (v genView) pairSegs(src, dst tgraph.Label) (base, tail []int32) {
-	if v.g.base != nil {
-		base = v.g.base.pairPositions(src, dst)
-	}
-	if pl := v.g.pair[pairKey{src, dst}]; pl != nil {
-		tail = capPositions(pl.view(), v.end())
-	}
-	return base, tail
-}
-
-// posCursor pulls the live positions of one per-shard index list (out, in,
-// or label pair) in increasing position order: the base CSR segment
-// chained with the capped tail segment (every tail position exceeds every
-// base position). The head's timestamp is cached so minCursor can merge
-// cursors across shards in global time order.
-type posCursor struct {
-	v          genView
-	base, tail []int32
-	bi, ti     int
-	pos        int32
-	time       int64
-	ok         bool
-}
-
-// init points the cursor at the first position strictly greater than
-// afterPos (clamped to the view's eviction floor).
-func (c *posCursor) init(v genView, base, tail []int32, afterPos int32) {
-	c.v = v
-	c.base, c.tail = base, tail
-	if afterPos < v.g.floor-1 {
-		afterPos = v.g.floor - 1
-	}
-	c.bi = sort.Search(len(base), func(i int) bool { return base[i] > afterPos })
-	c.ti = sort.Search(len(tail), func(i int) bool { return tail[i] > afterPos })
-	c.settle()
-}
-
-// initAfterTime points the cursor at the first position whose edge time is
-// strictly greater than afterTime — the cross-shard ordering key (position
-// order equals time order within a shard).
-func (c *posCursor) initAfterTime(v genView, base, tail []int32, afterTime int64) {
-	c.init(v, base, tail, v.cutBefore(afterTime+1)-1)
-}
-
-func (c *posCursor) settle() {
-	switch {
-	case c.bi < len(c.base):
-		c.pos = c.base[c.bi]
-	case c.ti < len(c.tail):
-		c.pos = c.tail[c.ti]
-	default:
-		c.ok = false
-		return
-	}
-	c.ok = true
-	c.time = c.v.edgeAt(c.pos).Time
-}
-
-func (c *posCursor) advance() {
-	if c.bi < len(c.base) {
-		c.bi++
-	} else {
-		c.ti++
-	}
-	c.settle()
-}
-
-// minCursor returns the index of the live cursor with the smallest head
-// timestamp, or -1 when all are exhausted. Ties (a violation of the
-// global-uniqueness clock contract) break deterministically toward the
-// lowest shard index.
-func minCursor(cs []posCursor) int {
-	best := -1
-	var bt int64
-	for i := range cs {
-		if cs[i].ok && (best == -1 || cs[i].time < bt) {
-			best = i
-			bt = cs[i].time
-		}
-	}
-	return best
-}
-
-// shardPos is the cross-shard edge identity key: per-shard position spaces
-// overlap, so the non-temporal matcher's used-edge bookkeeping keys on
-// (shard, position).
-func shardPos(shard int, pos int32) int64 {
-	return int64(shard)<<32 | int64(uint32(pos))
-}
-
-// shardedState is the temporal matcher over a cross-shard cut: the same
-// compiled step-program driver as tState (stream.go) and liveState
-// (live.go) — the third deliberate twin; a semantic change to any MUST be
-// mirrored in the others — with timestamps as the "position after" total
-// order and continuation candidates drawn from all shards. Out-edges of a
-// bound source live only on its shard; in-edge and label-pair candidates
-// merge across shards in time order. Guard lower bounds fold into the
-// cursors' time-keyed seeks; upper bounds early-exit the merged scan. See
-// tState for the (k, rep) recursion contract.
-type shardedState struct {
-	matchCore
-	sv *shardedView
-	// cur[d] holds one cursor per shard for recursion depth d — the number
-	// of host edges bound so far, NOT the step index: a repeated step scans
-	// at successive depths, so its nested scans never clobber an enclosing
-	// scan's cursors. Sized by the program's maximum occurrence count.
-	cur [][]posCursor
-}
-
-func newShardedCursors(depths, shards int) [][]posCursor {
-	flat := make([]posCursor, depths*shards)
-	out := make([][]posCursor, depths)
-	for i := range out {
-		out[i] = flat[i*shards : (i+1)*shards]
-	}
-	return out
-}
-
-func (s *shardedState) match(k, rep, depth int, lastTime int64) {
-	if s.stepCancelled() {
-		return
-	}
-	if k == len(s.prog.steps) {
-		s.emit(Match{Start: s.startTime, End: lastTime})
-		return
-	}
-	st := &s.prog.steps[k]
-	if rep >= st.minRep {
-		s.match(k+1, 0, depth, lastTime)
-		if s.done {
-			return
-		}
-	}
-	if rep >= st.maxRep {
-		return
-	}
-	lo := st.loTime(s.startTime, lastTime)
-	hi := st.hiTime(s.startTime, lastTime, s.opts.Window)
-	if hi >= 0 && lo > hi {
-		return
-	}
-	// The cursors seek to the first position with time > afterT: the
-	// guard's lower bound folds directly into the cross-shard ordering key
-	// (initAfterTime is a per-shard time binary search).
-	afterT := lastTime
-	if lo-1 > afterT {
-		afterT = lo - 1
-	}
-	pe := st.pe
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(v genView, ge tgraph.Edge, t int64) {
-		if (pe.Src == pe.Dst) != (ge.Src == ge.Dst) {
-			return
-		}
-		if s.sv.labels[ge.Src] != st.srcLab || s.sv.labels[ge.Dst] != st.dstLab {
-			return
-		}
-		s.bindEdge(pe, ge, func() { s.match(k, rep+1, depth+1, t) })
-	}
-	switch {
-	case ms != -1:
-		// Ownership: every edge with source ms lives on ms's shard.
-		shard := tgraph.NodeShard(ms, len(s.sv.views))
-		if !s.sv.hasNode(shard, ms) {
-			return
-		}
-		v := s.sv.views[shard]
-		c := &s.cur[depth][0]
-		base, tail := v.outSegs(ms)
-		c.initAfterTime(v, base, tail, afterT)
-		for c.ok && !s.done {
-			if hi >= 0 && c.time > hi {
-				break
-			}
-			ge := v.edgeAt(c.pos)
-			if md == -1 || ge.Dst == md {
-				try(v, ge, c.time)
-			}
-			c.advance()
-		}
-	case md != -1:
-		cs := s.cur[depth]
-		for i := range s.sv.views {
-			if s.sv.hasNode(i, md) {
-				base, tail := s.sv.views[i].inSegs(md)
-				cs[i].initAfterTime(s.sv.views[i], base, tail, afterT)
-			} else {
-				cs[i].ok = false
-			}
-		}
-		for !s.done {
-			i := minCursor(cs)
-			if i < 0 {
-				break
-			}
-			c := &cs[i]
-			if hi >= 0 && c.time > hi {
-				break // merged order is global time order: nothing later fits
-			}
-			try(s.sv.views[i], s.sv.views[i].edgeAt(c.pos), c.time)
-			c.advance()
-		}
-	default:
-		// Reached when neither endpoint is bound: the first step, and any
-		// step whose predecessors were all skipped optional hops.
-		cs := s.cur[depth]
-		for i := range s.sv.views {
-			base, tail := s.sv.views[i].pairSegs(st.srcLab, st.dstLab)
-			cs[i].initAfterTime(s.sv.views[i], base, tail, afterT)
-		}
-		for !s.done {
-			i := minCursor(cs)
-			if i < 0 {
-				break
-			}
-			c := &cs[i]
-			if hi >= 0 && c.time > hi {
-				break // merged order is global time order: nothing later fits
-			}
-			try(s.sv.views[i], s.sv.views[i].edgeAt(c.pos), c.time)
-			c.advance()
-		}
+// pin captures one generation per shard (an atomic load each) and registers
+// the query with every shard's reader accounting.
+func (l *ShardedLive) pin(c *cut) {
+	for _, sh := range l.shards {
+		sh.pin(c)
 	}
 }
 
 // taggedMatch is one worker-emitted match plus its merge key: the time of
 // the root (first-edge) candidate it was found under, which is the
-// sequential engine's discovery order across shards.
+// sequential discovery order across views.
 type taggedMatch struct {
 	key int64
 	m   Match
@@ -570,65 +283,51 @@ type shardStream struct {
 	err       error
 }
 
-// temporalWorker mines the temporal roots owned by one shard: it scans the
-// shard's pair index for first-edge candidates in time order and matches
-// continuations against the full cross-shard view, emitting each root's
-// matches tagged with the root time. Per-worker rootDedup is globally
-// sufficient: roots on different shards have distinct timestamps, and all
-// matches under one root share its start time.
-func (l *ShardedLive) temporalWorker(ctx context.Context, sv *shardedView, shard int, p *tgraph.Pattern, prog *program, opts Options, out *shardStream) {
-	defer close(out.ch)
-	res := newRootDedup(opts.Limit, func(m Match) bool {
-		select {
-		case out.ch <- taggedMatch{key: m.Start, m: m}:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	})
-	defer res.release()
-	st := &shardedState{sv: sv}
-	st.p = p
-	st.prog = prog
-	st.opts = opts
-	st.res = res
-	st.ctx = ctx
-	st.cur = newShardedCursors(prog.maxOccurrences()+1, len(sv.views))
-	u := l.used.Get().(*usedSet)
-	u.reset(len(sv.labels))
-	defer l.used.Put(u)
-	st.init(p.NumNodes(), u)
-	first := &prog.steps[0]
-	v := sv.views[shard]
-	var c posCursor
-	base, tail := v.pairSegs(first.srcLab, first.dstLab)
-	c.init(v, base, tail, -1)
-	for c.ok {
-		if st.rootCancelled() {
-			break
-		}
-		res.nextRoot()
-		ge := v.edgeAt(c.pos)
-		if (first.pe.Src == first.pe.Dst) == (ge.Src == ge.Dst) {
-			st.bindEdge(first.pe, ge, func() {
-				st.startTime = ge.Time
-				st.match(0, 1, 1, ge.Time)
+// fanOut runs work on one goroutine per view of the cut — each with a
+// scratch of its own, under a context that is cancelled when fanOut returns,
+// so abandoned workers (consumer break, truncation proof) stop promptly even
+// mid-search with nothing to emit — and merges the workers' key-ordered
+// streams through mergePlan. work(ctx, s, i, send) searches under the roots
+// view i owns: send delivers one match and returns false when the worker
+// should stop; work returns whether it proved truncation, and the context
+// error if it was cancelled.
+func fanOut(ctx context.Context, c *cut, emit func(Match) bool, work func(ctx context.Context, s *scratch, i int, send func(taggedMatch) bool) (bool, error)) (truncated bool, err error) {
+	wctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	// Workers read the caller's pooled cut: they must all have exited before
+	// the caller may release it.
+	defer wg.Wait()
+	defer cancel()
+	outs := make([]*shardStream, len(c.views))
+	for i := range outs {
+		// 64 matches of slack lets a worker search ahead of the merger
+		// without unbounded buffering.
+		out := &shardStream{ch: make(chan taggedMatch, 64)}
+		outs[i] = out
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer close(out.ch)
+			s := scratchPool.Get().(*scratch)
+			defer s.release()
+			out.truncated, out.err = work(wctx, s, i, func(tm taggedMatch) bool {
+				select {
+				case out.ch <- tm:
+					return true
+				case <-wctx.Done():
+					return false
+				}
 			})
-		}
-		if st.done {
-			break
-		}
-		c.advance()
+			if out.err == nil {
+				// The worker may have stopped via send's Done arm (blocked on
+				// a full channel) before the throttled in-search probe
+				// observed the cancellation; the contract is still partial
+				// results plus ctx.Err().
+				out.err = wctx.Err()
+			}
+		}(i)
 	}
-	out.truncated = res.truncated
-	out.err = st.ctxErr
-	if out.err == nil && ctx.Err() != nil {
-		// The worker may have stopped via the emit-select's ctx.Done arm
-		// (blocked on a full channel) before the throttled in-search probe
-		// observed the cancellation; the contract is still partial results
-		// plus ctx.Err().
-		out.err = ctx.Err()
-	}
+	return mergePlan(outs, emit)
 }
 
 // mergePlan is the planner's reduce step: a K-way merge of the workers'
@@ -637,9 +336,9 @@ func (l *ShardedLive) temporalWorker(ctx context.Context, sv *shardedView, shard
 // limit logic proved truncation — counting distinct matches against
 // Options.Limit is the caller's job, since only the caller knows whether
 // merged matches can still be cross-worker duplicates). mergePlan reports
-// whether emit stopped it, the OR of the drained workers' truncated flags,
-// and the first error a drained worker reported.
-func mergePlan(outs []*shardStream, emit func(Match) bool) (stopped, truncated bool, err error) {
+// the OR of the drained workers' truncated flags and the first error a
+// drained worker reported.
+func mergePlan(outs []*shardStream, emit func(Match) bool) (truncated bool, err error) {
 	heads := make([]*taggedMatch, len(outs))
 	open := make([]bool, len(outs))
 	for i := range outs {
@@ -668,374 +367,63 @@ func mergePlan(outs []*shardStream, emit func(Match) bool) (stopped, truncated b
 			}
 		}
 		if best == -1 {
-			return false, truncated, err
+			return truncated, err
 		}
 		m := heads[best].m
 		heads[best] = nil
 		if !emit(m) {
-			return true, truncated, err
+			return truncated, err
 		}
 	}
 }
 
-// StreamTemporal yields the distinct intervals where the temporal pattern
-// embeds in the cross-shard edge set, with the same semantics and yield
-// order as Live.StreamTemporal over the time-merged union: the planner
-// fans the root loop out across shards (one worker per shard) and merges
-// the workers' streams back into ascending-start order. The stream runs
-// against the per-shard generation cut pinned when it started and never
-// blocks any shard's writers.
-func (l *ShardedLive) StreamTemporal(ctx context.Context, p *tgraph.Pattern, opts Options) iter.Seq2[Match, error] {
-	if len(l.shards) == 1 {
-		return l.shards[0].StreamTemporal(ctx, p, opts)
-	}
-	opts = opts.normalize()
-	return func(yield func(Match, error) bool) {
-		if p.NumEdges() == 0 {
-			return
+// fanOutTemporal is the N-view schedule of the temporal search: each worker
+// runs the roots its view owns against the full cut, tagging matches with
+// their root time, and the merged stream is the single-view discovery order.
+// Worker streams are globally distinct already (per-worker root dedup;
+// roots on different views have distinct start times), so counting
+// emissions against the cap is exact: the Limit+1-th merged match proves
+// truncation, mirroring rootDedup's run-on discipline.
+func fanOutTemporal(ctx context.Context, c *cut, prog *program, opts Options, emit func(Match) bool) (truncated bool, err error) {
+	emitted := 0
+	wtrunc, err := fanOut(ctx, c, func(m Match) bool {
+		if emitted >= opts.Limit {
+			truncated = true
+			return false
 		}
-		prog, err := compileProgram(p, opts.Constraints)
-		if err != nil {
-			yield(Match{}, err)
-			return
-		}
-		sv := l.pin()
-		defer l.unpin(sv)
-		// The derived context stops abandoned workers (consumer break,
-		// truncation proof) promptly, even mid-search with nothing to emit.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		outs := make([]*shardStream, len(sv.views))
-		for i := range outs {
-			outs[i] = &shardStream{ch: make(chan taggedMatch, 64)}
-			go l.temporalWorker(wctx, sv, i, p, prog, opts, outs[i])
-		}
-		// Worker streams are globally distinct already (per-worker root
-		// dedup; cross-shard roots have distinct start times), so counting
-		// emissions against the cap is exact: the Limit+1-th merged match
-		// proves truncation, mirroring rootDedup's run-on discipline.
-		emitted, halted, truncated := 0, false, false
-		_, wtrunc, err := mergePlan(outs, func(m Match) bool {
-			if emitted >= opts.Limit {
-				truncated = true
-				return false
-			}
-			emitted++
-			if !yield(m, nil) {
-				halted = true
-				return false
-			}
-			return true
+		emitted++
+		return emit(m)
+	}, func(ctx context.Context, s *scratch, i int, send func(taggedMatch) bool) (bool, error) {
+		return runTemporal(ctx, c, s, i, prog, opts, func(m Match) bool {
+			return send(taggedMatch{key: m.Start, m: m})
 		})
-		truncated = truncated || wtrunc
-		switch {
-		case halted: // consumer broke out; say nothing more
-		case err != nil:
-			yield(Match{}, err)
-		case truncated:
-			yield(Match{}, ErrTruncated)
-		}
-	}
+	})
+	return truncated || wtrunc, err
 }
 
-// FindTemporalContext collects StreamTemporal into a deduplicated Result
-// in (Start, End) order, returning partial matches plus ctx.Err() on
-// cancellation.
-func (l *ShardedLive) FindTemporalContext(ctx context.Context, p *tgraph.Pattern, opts Options) (Result, error) {
-	return collectStream(l.StreamTemporal(ctx, p, opts))
-}
-
-// FindTemporal is the background-context compatibility form of
-// FindTemporalContext.
-func (l *ShardedLive) FindTemporal(p *tgraph.Pattern, opts Options) Result {
-	r, _ := l.FindTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// ntSink is a worker-side resultSet twin that streams instead of
-// collecting: locally deduplicated matches flow to the merger tagged with
-// the current root's time, with the same exact-truncation discipline (run
-// on at the cap until a distinct over-limit match proves truncation).
-// Local dedup plus merger dedup compose: dropping a worker's later
-// duplicate never changes the merged first-occurrence order.
-type ntSink struct {
-	emit      func(taggedMatch) bool
-	limit     int
-	rootKey   int64
-	seen      map[Match]struct{}
-	count     int
-	truncated bool
-	halted    bool
-}
-
-func (s *ntSink) add(m Match) {
-	if _, dup := s.seen[m]; dup {
-		return
-	}
-	if s.count >= s.limit {
-		s.truncated = true
-		return
-	}
-	s.seen[m] = struct{}{}
-	s.count++
-	if !s.emit(taggedMatch{key: s.rootKey, m: m}) {
-		s.halted = true
-	}
-}
-
-func (s *ntSink) full() bool { return s.halted || s.truncated }
-
-// ntShardedState is the non-temporal matcher over a cross-shard cut, the
-// third twin of ntState (search.go) and ntLiveState (live.go) — a semantic
-// change to any MUST be mirrored in the others. Candidates at every level
-// iterate in global time order (the single-engine position order);
-// level 0 restricts to the worker's own shard and tags the sink with each
-// root candidate's time. Matches land in the worker's ntSink, not the
-// embedded ntCore resultSet.
-type ntShardedState struct {
-	ntCore
-	sv    *shardedView
-	shard int
-	sink  *ntSink
-	cur   [][]posCursor
-}
-
-func (s *ntShardedState) match(k int) {
-	if s.stepCancelled() {
-		return
-	}
-	if k == len(s.order) {
-		s.sink.add(Match{Start: s.minT, End: s.maxT})
-		if s.sink.full() {
-			s.done = true
-		}
-		return
-	}
-	pe := s.order[k]
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(shard int, pos int32) bool {
-		v := s.sv.views[shard]
-		ge := v.edgeAt(pos)
-		ok := s.tryEdge(k, pe, ge, shardPos(shard, pos), s.sv.labels[ge.Src], s.sv.labels[ge.Dst], func() { s.match(k + 1) })
-		return ok && !s.done
-	}
-	switch {
-	case ms != -1:
-		shard := tgraph.NodeShard(ms, len(s.sv.views))
-		if !s.sv.hasNode(shard, ms) {
-			return
-		}
-		v := s.sv.views[shard]
-		c := &s.cur[k][0]
-		base, tail := v.outSegs(ms)
-		c.init(v, base, tail, -1)
-		for c.ok {
-			ge := v.edgeAt(c.pos)
-			if md == -1 || ge.Dst == md {
-				if !try(shard, c.pos) {
-					break
-				}
-			}
-			c.advance()
-		}
-	case md != -1:
-		cs := s.cur[k]
-		for i := range s.sv.views {
-			if s.sv.hasNode(i, md) {
-				base, tail := s.sv.views[i].inSegs(md)
-				cs[i].init(s.sv.views[i], base, tail, -1)
-			} else {
-				cs[i].ok = false
-			}
-		}
-		for {
-			i := minCursor(cs)
-			if i < 0 {
-				break
-			}
-			if !try(i, cs[i].pos) {
-				break
-			}
-			cs[i].advance()
-		}
-	default:
-		cs := s.cur[k]
-		rootLevel := k == 0
-		for i := range s.sv.views {
-			if rootLevel && i != s.shard {
-				cs[i].ok = false // roots are owned per worker
-				continue
-			}
-			base, tail := s.sv.views[i].pairSegs(s.p.Labels[pe.Src], s.p.Labels[pe.Dst])
-			cs[i].init(s.sv.views[i], base, tail, -1)
-		}
-		for {
-			i := minCursor(cs)
-			if i < 0 {
-				break
-			}
-			if rootLevel {
-				s.sink.rootKey = cs[i].time
-				// Per-root context poll, as matchCore.rootCancelled does.
-				if err := s.ctx.Err(); err != nil {
-					s.ctxErr = err
-					s.done = true
-					break
-				}
-			}
-			if !try(i, cs[i].pos) {
-				break
-			}
-			cs[i].advance()
-		}
-	}
-}
-
-// ntWorker mines the non-temporal roots owned by one shard, emitting its
-// locally-deduplicated matches tagged with their root time.
-func (l *ShardedLive) ntWorker(ctx context.Context, sv *shardedView, shard int, p *gspan.Pattern, opts Options, out *shardStream) {
-	defer close(out.ch)
-	sink := &ntSink{
-		limit: opts.Limit,
-		seen:  make(map[Match]struct{}),
-		emit: func(tm taggedMatch) bool {
-			select {
-			case out.ch <- tm:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		},
-	}
-	st := &ntShardedState{sv: sv, shard: shard, sink: sink}
-	st.cur = newShardedCursors(p.NumEdges()+1, len(sv.views))
-	u := l.used.Get().(*usedSet)
-	u.reset(len(sv.labels))
-	defer l.used.Put(u)
-	st.initNT(ctx, p, opts, u)
-	st.match(0)
-	out.truncated = sink.truncated
-	out.err = st.ctxErr
-	if out.err == nil && ctx.Err() != nil {
-		// As in temporalWorker: a cancellation observed only by the
-		// emit-select must still surface as ctx.Err().
-		out.err = ctx.Err()
-	}
-}
-
-// FindNonTemporalContext reports the distinct intervals where the
-// collapsed (non-temporal) pattern embeds in the cross-shard edge set,
-// with Live.FindNonTemporalContext semantics over the time-merged union:
-// per-shard root workers, merged back in root-time order with global
-// interval dedup and the exact-Truncated discipline.
-func (l *ShardedLive) FindNonTemporalContext(ctx context.Context, p *gspan.Pattern, opts Options) (Result, error) {
-	if len(l.shards) == 1 {
-		return l.shards[0].FindNonTemporalContext(ctx, p, opts)
-	}
-	opts = opts.normalize()
-	if p.NumEdges() == 0 {
-		return Result{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	sv := l.pin()
-	defer l.unpin(sv)
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	outs := make([]*shardStream, len(sv.views))
-	for i := range outs {
-		outs[i] = &shardStream{ch: make(chan taggedMatch, 64)}
-		go l.ntWorker(wctx, sv, i, p, opts, outs[i])
-	}
-	// The merger re-deduplicates globally — the same interval can be
-	// discovered under roots on different shards — so the cap counts
-	// distinct intervals only; resultSet carries the exact-Truncated
-	// run-on discipline (full() fires only once a distinct over-cap match
-	// arrived).
+// fanOutNonTemporal is the N-view schedule of the non-temporal search: each
+// worker searches under the roots its view owns, streaming its locally
+// deduplicated matches tagged with their root's time. The merger
+// re-deduplicates globally — the same interval can be discovered under
+// roots on different views, and dropping a worker's later duplicate never
+// changes the merged first-occurrence order — so the cap counts distinct
+// intervals only, with resultSet's exact-Truncated run-on discipline.
+func fanOutNonTemporal(ctx context.Context, c *cut, p *gspan.Pattern, opts Options) (Result, error) {
 	rs := &resultSet{limit: opts.Limit}
-	_, truncated, err := mergePlan(outs, func(m Match) bool {
+	truncated, err := fanOut(ctx, c, func(m Match) bool {
 		rs.add(m)
 		return !rs.full()
+	}, func(ctx context.Context, s *scratch, i int, send func(taggedMatch) bool) (bool, error) {
+		r := newNTRun(ctx, c, s, i, p, opts)
+		r.res = &resultSet{limit: opts.Limit, emit: func(m Match) bool {
+			return send(taggedMatch{key: r.rootKey, m: m})
+		}}
+		r.match(0)
+		return r.res.truncated, r.ctxErr
 	})
 	res := rs.finish()
 	res.Truncated = res.Truncated || truncated
 	return res, err
-}
-
-// FindNonTemporal is the background-context compatibility form of
-// FindNonTemporalContext.
-func (l *ShardedLive) FindNonTemporal(p *gspan.Pattern, opts Options) Result {
-	r, _ := l.FindNonTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// FindLabelSetContext finds minimal time windows in the cross-shard edge
-// set covering the query label multiset, with Live.FindLabelSetContext
-// semantics over the time-merged union: per-shard event extraction runs in
-// parallel, the planner merges the per-shard event lists in time order,
-// and the shared sliding-window sweep runs over the merged stream.
-func (l *ShardedLive) FindLabelSetContext(ctx context.Context, labels []tgraph.Label, opts Options) (Result, error) {
-	if len(l.shards) == 1 {
-		return l.shards[0].FindLabelSetContext(ctx, labels, opts)
-	}
-	opts = opts.normalize()
-	if len(labels) == 0 {
-		return Result{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	sv := l.pin()
-	defer l.unpin(sv)
-	need := labelNeed(labels)
-	perShard := make([][]lsEvent, len(sv.views))
-	var wg sync.WaitGroup
-	for i := range sv.views {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v := sv.views[i]
-			perShard[i] = labelSetEvents(need, v.numEdges(), v.forEachEdge,
-				func(n tgraph.NodeID) tgraph.Label { return sv.labels[n] })
-		}(i)
-	}
-	wg.Wait()
-	return labelSetSweep(ctx, mergeEvents(perShard), need, opts)
-}
-
-// mergeEvents merges per-shard time-sorted label-event lists into one
-// time-sorted stream (ties toward the lower shard, deterministically; a
-// single edge's src-then-dst event order is preserved because both events
-// sit adjacent in one shard's list).
-func mergeEvents(perShard [][]lsEvent) []lsEvent {
-	total := 0
-	for _, evs := range perShard {
-		total += len(evs)
-	}
-	out := make([]lsEvent, 0, total)
-	idx := make([]int, len(perShard))
-	for len(out) < total {
-		best := -1
-		for i, evs := range perShard {
-			if idx[i] >= len(evs) {
-				continue
-			}
-			if best == -1 || evs[idx[i]].time < perShard[best][idx[best]].time {
-				best = i
-			}
-		}
-		out = append(out, perShard[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// FindLabelSet is the background-context compatibility form of
-// FindLabelSetContext.
-func (l *ShardedLive) FindLabelSet(labels []tgraph.Label, opts Options) Result {
-	r, _ := l.FindLabelSetContext(context.Background(), labels, opts)
-	return r
 }
 
 // Snapshot materializes an immutable Engine over the pinned cross-shard
@@ -1048,8 +436,8 @@ func (l *ShardedLive) Snapshot() *Engine {
 	if len(l.shards) == 1 {
 		return l.shards[0].Snapshot()
 	}
-	sv := l.pin()
-	defer l.unpin(sv)
+	sv := pinCut(l)
+	defer sv.release()
 	var b tgraph.Builder
 	for _, lab := range sv.labels {
 		b.AddNode(lab)

@@ -46,7 +46,7 @@ func TestShardedMatchesLiveDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		compactEvery := []int{-1, 2, 3, 7}[rng.Intn(4)]
-		shards := []int{2, 3, 4}[rng.Intn(3)]
+		shards := []int{1, 2, 3, 4}[rng.Intn(4)]
 		sharded := NewSharded(LiveOptions{CompactEvery: compactEvery, Shards: shards})
 		single := NewLive(LiveOptions{CompactEvery: compactEvery})
 		numLabels := 3
@@ -469,7 +469,7 @@ func TestShardedDisconnectedPatternWindow(t *testing.T) {
 	}
 	single := NewLive(LiveOptions{})
 	build(single)
-	for _, shards := range []int{2, 3, 4} {
+	for _, shards := range []int{1, 2, 3, 4} {
 		sharded := NewSharded(LiveOptions{Shards: shards})
 		build(sharded)
 		for _, window := range []int64{0, 5} {

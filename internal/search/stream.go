@@ -1,10 +1,19 @@
 package search
 
-// This file is the temporal-query streaming core: the backtracking matcher
-// refactored from collect-into-resultSet to a yield callback, so matches
-// flow to the caller as the search finds them. FindTemporal(Context) is a
-// thin collector over StreamTemporal; a monitoring pipeline ranges over the
-// stream directly and never pays memory proportional to the match count.
+// This file is the temporal matcher: the one driver of the compiled step
+// program (automaton.go), run over a pinned cut (cut.go). Matches flow to a
+// yield callback as the search finds them, so a monitoring pipeline ranges
+// over StreamTemporal directly and never pays memory proportional to the
+// match count; FindTemporal(Context) is a thin collector over the stream.
+//
+// Timestamps are the total order the driver runs on: position order equals
+// time order inside each view, and a cut of several views is the time-merged
+// union of their edge sequences, so continuation candidates are drawn from
+// per-view cursors merged in time order (one cursor on a one-view cut).
+// Root candidates live on the view that owns their first edge; roots(i)
+// walks view i's. A one-view cut runs roots(0) inline on the caller's
+// goroutine; an N-view cut runs one roots(i) per worker and merges the
+// workers' streams back into discovery order (sharded.go).
 
 import (
 	"context"
@@ -90,291 +99,236 @@ func (r *rootDedup) add(m Match) {
 
 func (r *rootDedup) full() bool { return r.halted || r.truncated }
 
-// binder tracks the injective pattern-node -> host-node assignment shared by
-// the static and live temporal matchers.
-type binder struct {
-	mapping []tgraph.NodeID
-	used    *usedSet
+// runCore is the state the temporal and non-temporal matchers share: the
+// cut they run on, the leased scratch (bindings, used-node set, cursor
+// table), and cooperative-cancellation bookkeeping. The done flag caches
+// "stop searching" (limit reached, consumer break, or context cancellation)
+// so the recursion probes a plain bool instead of re-deriving it.
+type runCore struct {
+	c       *cut
+	s       *scratch
+	done    bool
+	ctx     context.Context
+	ctxDone <-chan struct{} // ctx.Done()
+	ctxErr  error
+	steps   int
 }
 
-func (b *binder) init(patternNodes int, used *usedSet) {
-	b.mapping = make([]tgraph.NodeID, patternNodes)
-	for i := range b.mapping {
-		b.mapping[i] = -1
-	}
-	b.used = used
+func newRunCore(ctx context.Context, c *cut, s *scratch) runCore {
+	return runCore{c: c, s: s, ctx: ctx, ctxDone: ctx.Done()}
 }
 
-// bindEdge binds the endpoints of pattern edge pe to graph edge ge (which
-// must already be label-compatible), runs fn, and unbinds.
-func (b *binder) bindEdge(pe tgraph.PEdge, ge tgraph.Edge, fn func()) {
-	var boundSrc, boundDst bool
-	if b.mapping[pe.Src] == -1 {
-		if b.used.has(ge.Src) {
-			return
+// bind binds pattern nodes ps -> ge.Src and pd -> ge.Dst (ge must already
+// be label-compatible), keeping the assignment injective. It reports which
+// of the two it newly bound, for unbind to undo, and ok == false — with
+// nothing left bound — when ge conflicts with the bindings so far.
+func (r *runCore) bind(ps, pd tgraph.NodeID, ge tgraph.Edge) (boundSrc, boundDst, ok bool) {
+	mapping, used := r.s.mapping, &r.s.used
+	if mapping[ps] == -1 {
+		if used.has(ge.Src) {
+			return false, false, false
 		}
-		b.mapping[pe.Src] = ge.Src
-		b.used.add(ge.Src)
+		mapping[ps] = ge.Src
+		used.add(ge.Src)
 		boundSrc = true
-	} else if b.mapping[pe.Src] != ge.Src {
-		return
+	} else if mapping[ps] != ge.Src {
+		return false, false, false
 	}
-	if pe.Src != pe.Dst {
-		if b.mapping[pe.Dst] == -1 {
-			if b.used.has(ge.Dst) {
-				if boundSrc {
-					b.mapping[pe.Src] = -1
-					b.used.remove(ge.Src)
-				}
-				return
-			}
-			b.mapping[pe.Dst] = ge.Dst
-			b.used.add(ge.Dst)
+	if ps != pd {
+		if mapping[pd] == -1 && !used.has(ge.Dst) {
+			mapping[pd] = ge.Dst
+			used.add(ge.Dst)
 			boundDst = true
-		} else if b.mapping[pe.Dst] != ge.Dst {
-			if boundSrc {
-				b.mapping[pe.Src] = -1
-				b.used.remove(ge.Src)
-			}
-			return
+		} else if mapping[pd] != ge.Dst { // bound elsewhere, or unbound (-1) with ge.Dst taken
+			r.unbind(ps, pd, ge, boundSrc, false)
+			return false, false, false
 		}
 	}
-	fn()
+	return boundSrc, boundDst, true
+}
+
+// unbind undoes what a successful bind reported binding.
+func (r *runCore) unbind(ps, pd tgraph.NodeID, ge tgraph.Edge, boundSrc, boundDst bool) {
 	if boundSrc {
-		b.mapping[pe.Src] = -1
-		b.used.remove(ge.Src)
+		r.s.mapping[ps] = -1
+		r.s.used.remove(ge.Src)
 	}
 	if boundDst {
-		b.mapping[pe.Dst] = -1
-		b.used.remove(ge.Dst)
-	}
-}
-
-// matchCore is the host-independent temporal matcher state: pattern, output
-// sink, bindings, and cooperative-cancellation bookkeeping. The done flag
-// caches "stop searching" (limit reached, consumer break, or context
-// cancellation) so the recursion probes a plain bool instead of re-deriving
-// it.
-type matchCore struct {
-	binder
-	p         *tgraph.Pattern
-	prog      *program
-	opts      Options
-	res       *rootDedup
-	startTime int64
-	done      bool
-	ctx       context.Context
-	ctxErr    error
-	steps     int
-}
-
-func (c *matchCore) emit(m Match) {
-	c.res.add(m)
-	if c.res.full() {
-		c.done = true
+		r.s.mapping[pd] = -1
+		r.s.used.remove(ge.Dst)
 	}
 }
 
 // stepCancelled is the throttled in-recursion stop probe.
-func (c *matchCore) stepCancelled() bool {
-	if c.done {
+func (r *runCore) stepCancelled() bool {
+	if r.done {
 		return true
 	}
-	c.steps++
-	if c.steps&ctxCheckMask == 0 {
-		if err := c.ctx.Err(); err != nil {
-			c.ctxErr = err
-			c.done = true
-			return true
-		}
-	}
-	return false
+	r.steps++
+	return r.steps&ctxCheckMask == 0 && r.rootCancelled()
 }
 
-// rootCancelled polls the context once per root candidate.
-func (c *matchCore) rootCancelled() bool {
-	if c.done {
+// rootCancelled polls the context (through its Done channel: cheaper than
+// Err, which locks); the root loops call it once per root candidate.
+func (r *runCore) rootCancelled() bool {
+	if r.done {
 		return true
 	}
-	if err := c.ctx.Err(); err != nil {
-		c.ctxErr = err
-		c.done = true
+	select {
+	case <-r.ctxDone:
+		r.ctxErr = r.ctx.Err()
+		r.done = true
 		return true
+	default:
+		return false
 	}
-	return false
 }
 
-// tState is the temporal matcher over a static Engine: a driver of the
-// compiled step program (automaton.go).
-//
-// tState.match and liveState.match (live.go) are deliberate twins: the
-// recursion is kept monomorphic per host so the static hot path stays free
-// of interface dispatch. A semantic change to either MUST be mirrored in
-// the other (and in the cross-shard shardedState, sharded.go); the
-// live==static differential property test
-// (TestLiveMatchesStaticDifferential) enforces agreement.
+// temporalRun is one search of the compiled step program over a cut.
 //
 // match is the program driver: (k, rep) says "step k has matched rep
 // occurrences so far". When rep satisfies the step's minimum the driver
 // first tries advancing to step k+1 (so an optional or satisfied-repetition
-// hop is skipped before further occurrences are scanned — the candidate
-// enumeration order all three engines share), then, while rep is below the
-// step's maximum, scans for the next occurrence strictly after lastPos
-// within the step's guard interval. The guard's lower bound skips ahead by
-// binary search on edge time (position order is time order), and its upper
-// bound early-exits the time-sorted candidate scan; both are no-ops for
-// unconstrained steps, which therefore walk exactly the historical
-// fixed-sequence search.
-type tState struct {
-	matchCore
-	e *Engine
+// hop is skipped before further occurrences are scanned), then, while rep is
+// below the step's maximum, scans for the next occurrence strictly later
+// than the last bound edge within the step's guard interval. The guard's
+// lower bound folds into the cursors' seek, and its upper bound early-exits
+// the time-ordered candidate scan; both are no-ops for unconstrained steps,
+// which therefore walk the plain fixed-sequence search.
+type temporalRun struct {
+	runCore
+	prog      *program
+	opts      Options
+	res       *rootDedup
+	startTime int64
 }
 
-func (s *tState) match(k, rep int, lastPos int32, lastTime int64) {
-	if s.stepCancelled() {
+// match extends a partial match whose last bound edge sits at position
+// lastPos of view lastShard with time lastTime. depth is the number of host
+// edges bound so far, NOT the step index: a repeated step scans at
+// successive depths, so its nested scans never clobber an enclosing scan's
+// cursors (the scratch sizes the table by the program's maximum occurrence
+// count).
+func (r *temporalRun) match(k, rep, depth, lastShard int, lastPos int32, lastTime int64) {
+	if r.stepCancelled() {
 		return
 	}
-	if k == len(s.prog.steps) {
-		s.emit(Match{Start: s.startTime, End: lastTime})
+	if k == len(r.prog.steps) {
+		r.res.add(Match{Start: r.startTime, End: lastTime})
+		if r.res.full() {
+			r.done = true
+		}
 		return
 	}
-	st := &s.prog.steps[k]
+	st := &r.prog.steps[k]
 	if rep >= st.minRep {
-		s.match(k+1, 0, lastPos, lastTime)
-		if s.done {
+		r.match(k+1, 0, depth, lastShard, lastPos, lastTime)
+		if r.done {
 			return
 		}
 	}
 	if rep >= st.maxRep {
 		return
 	}
-	lo := st.loTime(s.startTime, lastTime)
-	hi := st.hiTime(s.startTime, lastTime, s.opts.Window)
+	lo := st.loTime(r.startTime, lastTime)
+	hi := st.hiTime(r.startTime, lastTime, r.opts.Window)
 	if hi >= 0 && lo > hi {
 		return
 	}
-	after := lastPos
-	if lo > lastTime+1 {
-		// Guard-driven skip-ahead: the first admissible position is the
-		// first with time >= lo. Only reached for constrained steps, so the
-		// unconstrained hot path pays nothing.
-		if cut := s.e.posOfTime(lo) - 1; cut > after {
-			after = cut
-		}
-	}
 	pe := st.pe
-	ms, md := s.mapping[pe.Src], s.mapping[pe.Dst]
-	try := func(pos int32) {
-		ge := s.e.g.EdgeAt(int(pos))
+	ms, md := r.s.mapping[pe.Src], r.s.mapping[pe.Dst]
+	cs := r.c.candidates(r.s.cursors(depth, len(r.c.views)), ms, md, st.srcLab, st.dstLab)
+	for i := range cs {
+		// Every candidate must be later than the last bound edge. On that
+		// edge's own view "later" is "at a greater position", a seek within
+		// the list; elsewhere, and whenever a guard's lower bound skips
+		// ahead, it is a per-view time binary search.
+		if c := &cs[i]; c.shard == lastShard && lo == lastTime+1 {
+			c.seek(lastPos)
+		} else {
+			c.seekTime(lo - 1)
+		}
+	}
+	for !r.done {
+		i := minCursor(cs)
+		if i < 0 {
+			break
+		}
+		c := &cs[i]
+		ge := c.edge
 		if hi >= 0 && ge.Time > hi {
-			return
+			break // merged order is global time order: nothing later fits
 		}
-		if (pe.Src == pe.Dst) != (ge.Src == ge.Dst) {
-			return
+		if (md == -1 || ge.Dst == md) && (pe.Src == pe.Dst) == (ge.Src == ge.Dst) &&
+			r.c.labels[ge.Src] == st.srcLab && r.c.labels[ge.Dst] == st.dstLab {
+			if bs, bd, ok := r.bind(pe.Src, pe.Dst, ge); ok {
+				r.match(k, rep+1, depth+1, c.shard, c.pos, ge.Time)
+				r.unbind(pe.Src, pe.Dst, ge, bs, bd)
+			}
 		}
-		if s.e.g.LabelOf(ge.Src) != st.srcLab || s.e.g.LabelOf(ge.Dst) != st.dstLab {
-			return
-		}
-		s.bindEdge(pe, ge, func() { s.match(k, rep+1, pos, ge.Time) })
-	}
-	switch {
-	case ms != -1:
-		iterAfter(s.e.outAt(ms), after, func(pos int32) bool {
-			if hi >= 0 && s.e.g.EdgeAt(int(pos)).Time > hi {
-				return false
-			}
-			if md != -1 && s.e.g.EdgeAt(int(pos)).Dst != md {
-				return true
-			}
-			try(pos)
-			return !s.done
-		})
-	case md != -1:
-		iterAfter(s.e.inAt(md), after, func(pos int32) bool {
-			if hi >= 0 && s.e.g.EdgeAt(int(pos)).Time > hi {
-				return false
-			}
-			try(pos)
-			return !s.done
-		})
-	default:
-		// Reached when neither endpoint is bound: the first step, and any
-		// step whose predecessors were all skipped optional hops.
-		iterAfter(s.e.pairPositions(st.srcLab, st.dstLab), after, func(pos int32) bool {
-			try(pos)
-			return !s.done
-		})
+		c.advance()
 	}
 }
 
-// StreamTemporal yields the distinct intervals where the temporal pattern —
-// optionally under Options.Constraints — embeds with edge order preserved,
-// in discovery order (ascending Start), as the backtracking search finds
-// them. The stream holds O(matches per root) scratch, independent of how
-// many matches are yielded.
-//
-// Each element is (match, nil). Three terminations are possible: the stream
-// simply ends (search exhausted), the final element is (zero Match, ctx.Err())
-// after a cancellation, or (zero Match, ErrTruncated) when Options.Limit
-// matches were yielded. Invalid constraints yield a single
-// (zero Match, validation error) element. Breaking out of the range at any
-// point releases the engine's pooled scratch immediately.
-func (e *Engine) StreamTemporal(ctx context.Context, p *tgraph.Pattern, opts Options) iter.Seq2[Match, error] {
-	opts = opts.normalize()
-	return func(yield func(Match, error) bool) {
-		if p.NumEdges() == 0 {
-			return
+// roots runs the search under every root candidate — a binding of the
+// pattern's first edge — owned by view i, in time order. Matches under one
+// root all share its start time and roots have pairwise-distinct times, so
+// the per-root dedup in res is globally sufficient.
+func (r *temporalRun) roots(i int) {
+	first := &r.prog.steps[0]
+	v := r.c.views[i]
+	var c posCursor
+	base, tail := v.pairSegs(first.srcLab, first.dstLab)
+	c.open(v, i, base, tail)
+	for c.seek(-1); c.ok && !r.rootCancelled(); c.advance() {
+		r.res.nextRoot()
+		ge := c.edge
+		if (first.pe.Src == first.pe.Dst) != (ge.Src == ge.Dst) {
+			continue
 		}
-		prog, err := compileProgram(p, opts.Constraints)
-		if err != nil {
-			yield(Match{}, err)
-			return
+		if bs, bd, ok := r.bind(first.pe.Src, first.pe.Dst, ge); ok {
+			r.startTime = ge.Time
+			r.match(0, 1, 1, i, c.pos, ge.Time)
+			r.unbind(first.pe.Src, first.pe.Dst, ge, bs, bd)
 		}
-		res := newRootDedup(opts.Limit, func(m Match) bool { return yield(m, nil) })
-		defer res.release()
-		st := &tState{e: e}
-		st.p = p
-		st.prog = prog
-		st.opts = opts
-		st.res = res
-		st.ctx = ctx
-		st.init(p.NumNodes(), e.getUsed())
-		defer e.used.Put(st.used)
-		first := &prog.steps[0]
-		for _, pos := range e.pairPositions(first.srcLab, first.dstLab) {
-			if st.rootCancelled() {
-				break
-			}
-			res.nextRoot()
-			ge := e.g.EdgeAt(int(pos))
-			if (first.pe.Src == first.pe.Dst) != (ge.Src == ge.Dst) {
-				continue
-			}
-			st.bindEdge(first.pe, ge, func() {
-				st.startTime = ge.Time
-				st.match(0, 1, pos, ge.Time)
-			})
-		}
-		finishStream(yield, res, st.ctxErr)
 	}
 }
 
-// finishStream emits the terminal stream element, if any.
-func finishStream(yield func(Match, error) bool, res *rootDedup, ctxErr error) {
+// runTemporal runs view i's roots on a leased scratch, emitting each
+// distinct match through emit (false stops the search), and reports whether
+// a further distinct match beyond opts.Limit exists and any context error.
+func runTemporal(ctx context.Context, c *cut, s *scratch, i int, prog *program, opts Options, emit func(Match) bool) (truncated bool, err error) {
+	res := newRootDedup(opts.Limit, emit)
+	defer res.release()
+	s.prepare(c, prog.nodes, prog.maxOccurrences()+1)
+	r := &temporalRun{runCore: newRunCore(ctx, c, s), prog: prog, opts: opts, res: res}
+	r.roots(i)
+	return res.truncated, r.ctxErr
+}
+
+// streamTemporal schedules the temporal search over the pinned cut in s: a
+// one-view cut runs its roots inline on this goroutine, an N-view cut fans
+// out (sharded.go). Either way the same temporalRun.match does the work.
+func streamTemporal(ctx context.Context, s *scratch, prog *program, opts Options, yield func(Match, error) bool) {
+	halted := false
+	emit := func(m Match) bool {
+		halted = !yield(m, nil)
+		return !halted
+	}
+	var truncated bool
+	var err error
+	if len(s.views) == 1 {
+		truncated, err = runTemporal(ctx, &s.cut, s, 0, prog, opts, emit)
+	} else {
+		truncated, err = fanOutTemporal(ctx, &s.cut, prog, opts, emit)
+	}
 	switch {
-	case res.halted: // consumer broke out; say nothing more
-	case ctxErr != nil:
-		yield(Match{}, ctxErr)
-	case res.truncated:
+	case halted: // consumer broke out; say nothing more
+	case err != nil:
+		yield(Match{}, err)
+	case truncated:
 		yield(Match{}, ErrTruncated)
 	}
-}
-
-// FindTemporalContext collects StreamTemporal into a deduplicated Result in
-// (Start, End) order. On cancellation it returns the matches found so far
-// together with ctx.Err().
-func (e *Engine) FindTemporalContext(ctx context.Context, p *tgraph.Pattern, opts Options) (Result, error) {
-	return collectStream(e.StreamTemporal(ctx, p, opts))
 }
 
 // collectStream drains a match stream into a sorted Result, translating the

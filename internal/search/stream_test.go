@@ -3,7 +3,10 @@ package search
 import (
 	"context"
 	"errors"
+	"iter"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -240,5 +243,88 @@ func TestStreamExactLimitNotTruncated(t *testing.T) {
 	res2 := NewEngine(g2).FindTemporal(p, Options{Limit: 1})
 	if len(res2.Matches) != 1 || !res2.Truncated {
 		t.Fatalf("distinct match beyond cap: %+v, want Truncated=true", res2)
+	}
+}
+
+// TestStreamInlineOnOneViewHosts pins the inline schedule of one-view cuts
+// (a static Engine, a Live): the stream runs on the caller's goroutine — no
+// worker appears while it runs, after it ends, or after the consumer breaks
+// out early — and its allocations do not depend on how many matches it
+// yields (the same at 36 and at 8,256).
+func TestStreamInlineOnOneViewHosts(t *testing.T) {
+	// pairs alternating a->b, b->c edges: every a->b pairs with every later
+	// b->c, pairs*(pairs+1)/2 distinct intervals.
+	build := func(pairs int) (*Engine, *Live) {
+		labels := []tgraph.Label{0, 1, 2}
+		var b tgraph.Builder
+		l := NewLive(LiveOptions{CompactEvery: 64}) // base + tail both populated
+		for _, lab := range labels {
+			b.AddNode(lab)
+			l.AddNode(lab)
+		}
+		for i := 0; i < 2*pairs; i++ {
+			src := tgraph.NodeID(i % 2)
+			if err := b.AddEdge(src, src+1, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(src, src+1, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := b.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewEngine(g), l
+	}
+	p := pat(t, []tgraph.Label{0, 1, 2}, []tgraph.PEdge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	type streamer interface {
+		StreamTemporal(ctx context.Context, p *tgraph.Pattern, opts Options) iter.Seq2[Match, error]
+	}
+	before := runtime.NumGoroutine()
+	// drain consumes up to stopAfter matches (0 = all), checking that no
+	// goroutine was started while the stream is live.
+	drain := func(h streamer, stopAfter int) int {
+		n := 0
+		for _, err := range h.StreamTemporal(context.Background(), p, Options{}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now := runtime.NumGoroutine(); now > before {
+				t.Fatalf("%T: %d goroutines mid-stream, %d before it", h, now, before)
+			}
+			if n++; n == stopAfter {
+				break
+			}
+		}
+		return n
+	}
+	// The pools randomly drop entries under the race detector and empty on
+	// a GC cycle, so the steady state is the minimum over a few runs.
+	steadyAllocs := func(h streamer) float64 {
+		m := math.Inf(1)
+		for i := 0; i < 25; i++ {
+			m = min(m, testing.AllocsPerRun(1, func() { drain(h, 0) }))
+		}
+		return m
+	}
+	allocs := map[string][]float64{}
+	for _, pairs := range []int{8, 128} {
+		e, l := build(pairs)
+		for name, h := range map[string]streamer{"Engine": e, "Live": l} {
+			if got, want := drain(h, 0), pairs*(pairs+1)/2; got != want {
+				t.Fatalf("%s: %d matches, want %d", name, got, want)
+			}
+			drain(h, 3) // consumer breaks out early
+			if now := runtime.NumGoroutine(); now > before {
+				t.Fatalf("%s: %d goroutines after the streams, %d before them", name, now, before)
+			}
+			allocs[name] = append(allocs[name], steadyAllocs(h))
+		}
+	}
+	for name, a := range allocs {
+		if a[0] != a[1] {
+			t.Errorf("%s.StreamTemporal allocations grow with the match count: %v at 36 matches, %v at 8256", name, a[0], a[1])
+		}
 	}
 }

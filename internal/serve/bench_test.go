@@ -12,8 +12,9 @@ import (
 // is the pooled hand-rolled encoder the handlers use now, which must come in
 // at >=2x fewer allocs per match (in practice: zero once the pooled buffer
 // is warm). Byte-identity of the two renderings is pinned by
-// TestNDJSONMatchesStdlib and the HTTP differential tests. Recorded in
-// BENCH_PR10.json.
+// TestNDJSONMatchesStdlib and the HTTP differential tests. The end-to-end
+// view is tgbench's serve.cached_reply_ns_per_match; the PR 10 record is in
+// the README's "Benchmark history" table.
 func BenchmarkServeStream(b *testing.B) {
 	matches := make([]MatchRecord, 64)
 	for i := range matches {

@@ -1,8 +1,6 @@
 package tgminer
 
 import (
-	"context"
-	"iter"
 	"strconv"
 	"sync"
 
@@ -76,6 +74,8 @@ type LiveOptions struct {
 // Author queries before ingestion starts, or serialize Dict access
 // externally; queries already built are safe to run at any time.
 type LiveEngine struct {
+	queries
+
 	mu    sync.Mutex // guards nodes; the live engine has its own locks
 	live  *search.ShardedLive
 	dict  *Dict
@@ -102,11 +102,8 @@ func NewLiveEngine(dict *Dict, opts LiveOptions) *LiveEngine {
 	if dict == nil {
 		dict = NewDict()
 	}
-	return &LiveEngine{
-		live:  search.NewSharded(search.LiveOptions{CompactEvery: opts.CompactEvery, Shards: opts.Shards}),
-		dict:  dict,
-		nodes: make(map[string]NodeID),
-	}
+	live := search.NewSharded(search.LiveOptions{CompactEvery: opts.CompactEvery, Shards: opts.Shards})
+	return &LiveEngine{queries: queries{&live.Queries}, live: live, dict: dict, nodes: make(map[string]NodeID)}
 }
 
 // Dict returns the engine's label dictionary.
@@ -214,7 +211,7 @@ func (le *LiveEngine) LastTime() int64 { return le.live.LastTime() }
 // queries against one consistent state. Like all reads it is lock-free;
 // on a single-shard engine right after a compaction the CSR base is shared
 // directly with no copying.
-func (le *LiveEngine) Snapshot() *Engine { return &Engine{e: le.live.Snapshot()} }
+func (le *LiveEngine) Snapshot() *Engine { return newEngine(le.live.Snapshot()) }
 
 // MineSnapshot returns the engine's current live edge set as one immutable
 // temporal graph for mining, cached per generation: if nothing was appended
@@ -287,69 +284,4 @@ func (le *LiveEngine) LookupLabel(name string) (Label, bool) {
 	defer le.mu.Unlock()
 	l := le.dict.Lookup(name)
 	return l, l != tgraph.NoLabel
-}
-
-// FindTemporal evaluates a temporal behavior query against the live edge
-// set (compatibility form of FindTemporalContext).
-func (le *LiveEngine) FindTemporal(p *Pattern, opts SearchOptions) SearchResult {
-	r, _ := le.FindTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// FindTemporalContext evaluates a temporal behavior query against the live
-// edge set under a context, with Engine.FindTemporalContext semantics.
-func (le *LiveEngine) FindTemporalContext(ctx context.Context, p *Pattern, opts SearchOptions) (SearchResult, error) {
-	r, err := le.live.FindTemporalContext(ctx, p, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
-}
-
-// Stream evaluates a temporal behavior query against the live edge set,
-// yielding matches as they are found, with Engine.Stream semantics. The
-// stream runs lock-free against the per-shard snapshot cut pinned when it
-// started: it sees one consistent edge set no matter how long the consumer
-// takes, appends are never blocked by a slow (or paused) consumer, and
-// mutating the engine from inside the loop body is safe — evict-as-you-alert
-// needs no Snapshot detour:
-//
-//	for m, err := range le.Stream(ctx, q, opts) {
-//		if err != nil { break }
-//		alert(m); le.EvictBefore(m.End) // visible to the next query
-//	}
-//
-// On a sharded engine the planner fans the root loop out across shards and
-// merges the per-shard streams back into ascending-start order, so the
-// yield order matches the single-shard engine exactly.
-func (le *LiveEngine) Stream(ctx context.Context, p *Pattern, opts SearchOptions) iter.Seq2[Match, error] {
-	return le.live.StreamTemporal(ctx, p, opts.internal())
-}
-
-// FindNonTemporal evaluates an Ntemp (order-free) query against the live
-// edge set (compatibility form of FindNonTemporalContext).
-func (le *LiveEngine) FindNonTemporal(p *NonTemporalPattern, opts SearchOptions) SearchResult {
-	r, _ := le.FindNonTemporalContext(context.Background(), p, opts)
-	return r
-}
-
-// FindNonTemporalContext evaluates an Ntemp (order-free) query against the
-// live edge set under a context, with Engine.FindNonTemporalContext
-// semantics. Lock-free: the query runs against the snapshot cut pinned at
-// the call.
-func (le *LiveEngine) FindNonTemporalContext(ctx context.Context, p *NonTemporalPattern, opts SearchOptions) (SearchResult, error) {
-	r, err := le.live.FindNonTemporalContext(ctx, p, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
-}
-
-// FindLabelSet evaluates a NodeSet query (label multiset within window)
-// against the live edge set (compatibility form of FindLabelSetContext).
-func (le *LiveEngine) FindLabelSet(q *LabelSetQuery, opts SearchOptions) SearchResult {
-	r, _ := le.FindLabelSetContext(context.Background(), q, opts)
-	return r
-}
-
-// FindLabelSetContext evaluates a NodeSet query against the live edge set
-// under a context, with Engine.FindLabelSetContext semantics. Lock-free:
-// the sweep runs against the snapshot cut pinned at the call.
-func (le *LiveEngine) FindLabelSetContext(ctx context.Context, q *LabelSetQuery, opts SearchOptions) (SearchResult, error) {
-	r, err := le.live.FindLabelSetContext(ctx, q.Labels, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
 }

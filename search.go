@@ -39,60 +39,56 @@ type TemporalConstraints = search.Constraints
 type HopConstraint = search.HopConstraint
 
 // SearchOptions bounds a query run.
-type SearchOptions struct {
-	// Window is the maximum time span of a match (the paper uses the
-	// longest observed behavior duration; 0 = unbounded).
-	Window int64
-	// Limit caps distinct matches returned (default 100000). The
-	// Truncated flag is exact — it is set only when a further distinct
-	// match genuinely exists beyond the cap, which the search runs on to
-	// establish; use a context deadline, not Limit, as a hard work bound.
-	Limit int
-	// Constraints attaches per-hop temporal constraints to TEMPORAL
-	// queries (FindTemporal*, Stream); nil is unconstrained. Non-temporal
-	// and label-set queries ignore it. Invalid constraints surface as the
-	// stream's terminal error (FindTemporalContext returns it; the
-	// background-context FindTemporal silently returns no matches — use
-	// TemporalConstraints.Validate up front when that matters).
-	Constraints *TemporalConstraints
-}
+//
+// Window is the maximum time span of a match (the paper uses the longest
+// observed behavior duration; 0 = unbounded).
+//
+// Limit caps distinct matches returned (default 100000). The Truncated flag
+// is exact — it is set only when a further distinct match genuinely exists
+// beyond the cap, which the search runs on to establish; use a context
+// deadline, not Limit, as a hard work bound.
+//
+// Constraints attaches per-hop temporal constraints to TEMPORAL queries
+// (FindTemporal*, Stream); nil is unconstrained. Non-temporal and label-set
+// queries ignore it. Invalid constraints surface as the stream's terminal
+// error (FindTemporalContext returns it; the background-context
+// FindTemporal silently returns no matches — use
+// TemporalConstraints.Validate up front when that matters).
+type SearchOptions = search.Options
 
-// SearchResult is a query outcome.
-type SearchResult struct {
-	Matches   []Match
-	Truncated bool
-}
+// SearchResult is a query outcome: deduplicated match intervals in
+// (Start, End) order, and whether a further distinct match exists beyond
+// SearchOptions.Limit.
+type SearchResult = search.Result
 
 // Engine indexes one large temporal graph for behavior-query evaluation.
-type Engine struct {
-	e *search.Engine
-}
+// Its query methods are those of queries.
+type Engine struct{ queries }
 
 // NewEngine indexes the host graph.
-func NewEngine(g *Graph) *Engine {
-	return &Engine{e: search.NewEngine(g)}
-}
+func NewEngine(g *Graph) *Engine { return newEngine(search.NewEngine(g)) }
 
-func (o SearchOptions) internal() search.Options {
-	return search.Options{Window: o.Window, Limit: o.Limit, Constraints: o.Constraints}
-}
+func newEngine(e *search.Engine) *Engine { return &Engine{queries{&e.Queries}} }
 
-// FindTemporal evaluates a temporal behavior query (order-preserving). It
-// is a compatibility wrapper that collects FindTemporalContext with a
-// background context; callers that need cancellation, deadlines, or
-// constant-memory consumption should use FindTemporalContext or Stream.
-func (eng *Engine) FindTemporal(p *Pattern, opts SearchOptions) SearchResult {
-	r, _ := eng.FindTemporalContext(context.Background(), p, opts)
-	return r
+// queries is the query surface Engine and LiveEngine share — all three
+// query families, each pinned to one consistent snapshot of its host for the
+// whole run. The *Context forms poll the context cooperatively and on
+// cancellation return the matches found so far together with ctx.Err(); the
+// plain forms run under a background context.
+type queries struct{ q *search.Queries }
+
+// FindTemporal evaluates a temporal behavior query (order-preserving).
+// Callers that need cancellation, deadlines, or constant-memory consumption
+// should use FindTemporalContext or Stream.
+func (s queries) FindTemporal(p *Pattern, opts SearchOptions) SearchResult {
+	return s.q.FindTemporal(p, opts)
 }
 
 // FindTemporalContext evaluates a temporal behavior query under a context,
 // collecting the match stream into a deduplicated, (Start, End)-sorted
-// result. On cancellation the matches found so far are returned together
-// with ctx.Err().
-func (eng *Engine) FindTemporalContext(ctx context.Context, p *Pattern, opts SearchOptions) (SearchResult, error) {
-	r, err := eng.e.FindTemporalContext(ctx, p, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
+// result.
+func (s queries) FindTemporalContext(ctx context.Context, p *Pattern, opts SearchOptions) (SearchResult, error) {
+	return s.q.FindTemporalContext(ctx, p, opts)
 }
 
 // Stream evaluates a temporal behavior query and yields each distinct match
@@ -104,51 +100,48 @@ func (eng *Engine) FindTemporalContext(ctx context.Context, p *Pattern, opts Sea
 // (search exhausted), or its final element carries a non-nil error:
 // ctx.Err() after cancellation, or ErrTruncated once SearchOptions.Limit
 // matches were yielded. Breaking out of the range loop at any point is safe
-// and releases the engine's pooled scratch immediately.
-func (eng *Engine) Stream(ctx context.Context, p *Pattern, opts SearchOptions) iter.Seq2[Match, error] {
-	return eng.e.StreamTemporal(ctx, p, opts.internal())
+// and releases the pooled scratch immediately.
+//
+// On a LiveEngine the stream runs lock-free against the per-shard snapshot
+// cut pinned when it started: it sees one consistent edge set no matter how
+// long the consumer takes, appends are never blocked by a slow (or paused)
+// consumer, and mutating the engine from inside the loop body is safe —
+// evict-as-you-alert needs no Snapshot detour:
+//
+//	for m, err := range le.Stream(ctx, q, opts) {
+//		if err != nil { break }
+//		alert(m); le.EvictBefore(m.End) // visible to the next query
+//	}
+//
+// The yield order is the same at every shard count.
+func (s queries) Stream(ctx context.Context, p *Pattern, opts SearchOptions) iter.Seq2[Match, error] {
+	return s.q.StreamTemporal(ctx, p, opts)
 }
 
-// FindNonTemporal evaluates an Ntemp query (order-free). It is the
-// background-context compatibility form of FindNonTemporalContext.
-func (eng *Engine) FindNonTemporal(p *NonTemporalPattern, opts SearchOptions) SearchResult {
-	r, _ := eng.FindNonTemporalContext(context.Background(), p, opts)
-	return r
+// FindNonTemporal evaluates an Ntemp query (order-free).
+func (s queries) FindNonTemporal(p *NonTemporalPattern, opts SearchOptions) SearchResult {
+	return s.q.FindNonTemporal(p, opts)
 }
 
 // FindNonTemporalContext evaluates an Ntemp query (order-free) under a
-// context, with the same cooperative-cancellation semantics as
-// FindTemporalContext: on cancellation the matches found so far are
-// returned together with ctx.Err().
-func (eng *Engine) FindNonTemporalContext(ctx context.Context, p *NonTemporalPattern, opts SearchOptions) (SearchResult, error) {
-	r, err := eng.e.FindNonTemporalContext(ctx, p, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
+// context.
+func (s queries) FindNonTemporalContext(ctx context.Context, p *NonTemporalPattern, opts SearchOptions) (SearchResult, error) {
+	return s.q.FindNonTemporalContext(ctx, p, opts)
 }
 
 // FindLabelSet evaluates a NodeSet query (label multiset within window).
-// It is the background-context compatibility form of FindLabelSetContext.
-func (eng *Engine) FindLabelSet(q *LabelSetQuery, opts SearchOptions) SearchResult {
-	r, _ := eng.FindLabelSetContext(context.Background(), q, opts)
-	return r
+func (s queries) FindLabelSet(q *LabelSetQuery, opts SearchOptions) SearchResult {
+	return s.q.FindLabelSet(q.Labels, opts)
 }
 
-// FindLabelSetContext evaluates a NodeSet query under a context, returning
-// partial matches plus ctx.Err() on cancellation.
-func (eng *Engine) FindLabelSetContext(ctx context.Context, q *LabelSetQuery, opts SearchOptions) (SearchResult, error) {
-	r, err := eng.e.FindLabelSetContext(ctx, q.Labels, opts.internal())
-	return SearchResult{Matches: r.Matches, Truncated: r.Truncated}, err
+// FindLabelSetContext evaluates a NodeSet query under a context.
+func (s queries) FindLabelSetContext(ctx context.Context, q *LabelSetQuery, opts SearchOptions) (SearchResult, error) {
+	return s.q.FindLabelSetContext(ctx, q.Labels, opts)
 }
 
 // UnionMatches merges match sets, deduplicating intervals (the paper
 // evaluates the union of its top-5 queries).
-func UnionMatches(results ...SearchResult) SearchResult {
-	rs := make([]search.Result, len(results))
-	for i, r := range results {
-		rs[i] = search.Result{Matches: r.Matches, Truncated: r.Truncated}
-	}
-	u := search.Union(rs...)
-	return SearchResult{Matches: u.Matches, Truncated: u.Truncated}
-}
+func UnionMatches(results ...SearchResult) SearchResult { return search.Union(results...) }
 
 // Evaluate scores matches against ground-truth intervals: a match is
 // correct when fully contained in a truth interval; an instance is

@@ -237,7 +237,10 @@ func TestQueryFamilyContextForms(t *testing.T) {
 }
 
 func TestLiveEngineRejectsOutOfOrder(t *testing.T) {
-	le := NewLiveEngine(nil, LiveOptions{})
+	// Shards: 1 — the strict total order is per shard; at Shards: 0 =
+	// GOMAXPROCS "a" and "b" may own different shards, where a backwards
+	// cross-shard timestamp is deliberately legal.
+	le := NewLiveEngine(nil, LiveOptions{Shards: 1})
 	if err := le.Append("a", "b", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,9 @@ func TestMineContextFacadeCancelled(t *testing.T) {
 // compaction statistics through the facade: base/tail split, eviction
 // floor, and the merge-vs-rebuild compaction counters.
 func TestLiveEngineStats(t *testing.T) {
-	le := NewLiveEngine(nil, LiveOptions{CompactEvery: 4})
+	// Shards: 1 — the compaction counters below are one shard's; Shards: 0
+	// would mean GOMAXPROCS.
+	le := NewLiveEngine(nil, LiveOptions{CompactEvery: 4, Shards: 1})
 	s := le.Stats()
 	if s.Nodes != 0 || s.LiveEdges != 0 || s.LastTime != -1 || s.Compactions != 0 {
 		t.Fatalf("fresh engine stats %+v", s)
