@@ -11,7 +11,8 @@ import (
 
 // benchWorkload builds a sysgen-backed embedding workload: a seed pattern
 // with a non-trivial embedding list over a positive set, plus one extension
-// of it, so Extend and Extensions benchmarks exercise realistic fan-out.
+// of it, so the Extensions, Extend and Children benchmarks exercise
+// realistic fan-out.
 func benchWorkload(b *testing.B) (graphs []*tgraph.Graph, p *tgraph.Pattern, l List, x Ext) {
 	b.Helper()
 	ds := sysgen.Generate(sysgen.Config{
@@ -79,6 +80,17 @@ func BenchmarkExtend(b *testing.B) {
 	}
 }
 
+func BenchmarkChildren(b *testing.B) {
+	graphs, p, l, _ := benchWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if exts, _ := Children(p, graphs, l); len(exts) == 0 {
+			b.Fatal("no children")
+		}
+	}
+}
+
 func BenchmarkSeeds(b *testing.B) {
 	graphs, _, _, _ := benchWorkload(b)
 	b.ReportAllocs()
@@ -91,11 +103,12 @@ func BenchmarkSeeds(b *testing.B) {
 }
 
 // BenchmarkNodeArenaChunk sweeps the embedding-arena chunk size over the
-// Extend workload (the arena's only consumer). The winning size and the
-// measured curve are committed on the nodeArenaChunk constant in grow.go;
-// re-run the sweep when the embedding shape changes materially.
+// Children workload, the miner's positive-side growth and the arena's main
+// consumer. The winning size and the measured curve are committed on the
+// nodeArenaChunk constant in grow.go; re-run the sweep when the embedding
+// shape changes materially.
 func BenchmarkNodeArenaChunk(b *testing.B) {
-	graphs, _, l, x := benchWorkload(b)
+	graphs, p, l, _ := benchWorkload(b)
 	for _, chunk := range []int{128, 256, 512, 1024, 2048} {
 		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
 			old := nodeArenaChunkSize
@@ -109,8 +122,8 @@ func BenchmarkNodeArenaChunk(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if out := Extend(x, graphs, l); len(out) == 0 {
-					b.Fatal("no child embeddings")
+				if exts, _ := Children(p, graphs, l); len(exts) == 0 {
+					b.Fatal("no children")
 				}
 			}
 		})

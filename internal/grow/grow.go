@@ -11,6 +11,8 @@
 package grow
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -108,17 +110,12 @@ func (x Ext) Apply(parent *tgraph.Pattern) *tgraph.Pattern {
 }
 
 // Less orders extensions deterministically for reproducible DFS order.
-func (x Ext) Less(y Ext) bool {
-	if x.Kind != y.Kind {
-		return x.Kind < y.Kind
-	}
-	if x.Src != y.Src {
-		return x.Src < y.Src
-	}
-	if x.Dst != y.Dst {
-		return x.Dst < y.Dst
-	}
-	return x.NewLabel < y.NewLabel
+func (x Ext) Less(y Ext) bool { return x.compare(y) < 0 }
+
+// compare orders extensions by kind, then source, destination and new label.
+func (x Ext) compare(y Ext) int {
+	return cmp.Or(cmp.Compare(x.Kind, y.Kind), cmp.Compare(x.Src, y.Src),
+		cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.NewLabel, y.NewLabel))
 }
 
 // Seed is a one-edge pattern together with its embedding lists in the
@@ -185,19 +182,15 @@ func (l List) SupportGraphs(buf []int32) []int32 {
 // their embeddings in both sets, ordered deterministically by (source label,
 // destination label, self-loop).
 func Seeds(pos, neg []*tgraph.Graph) []Seed {
+	var arena nodeArena
 	posEmb := make(map[SeedKey]List)
 	for gi, g := range pos {
-		collectSeeds(g, int32(gi), func(k SeedKey, e Embedding) {
-			posEmb[k] = append(posEmb[k], e)
-		})
+		collectSeeds(posEmb, nil, g, int32(gi), &arena)
 	}
+	// Only seeds that exist positively matter on the negative side.
 	negEmb := make(map[SeedKey]List)
 	for gi, g := range neg {
-		collectSeeds(g, int32(gi), func(k SeedKey, e Embedding) {
-			if _, ok := posEmb[k]; ok { // only seeds that exist positively matter
-				negEmb[k] = append(negEmb[k], e)
-			}
-		})
+		collectSeeds(negEmb, posEmb, g, int32(gi), &arena)
 	}
 	keys := make([]SeedKey, 0, len(posEmb))
 	for k := range posEmb {
@@ -224,29 +217,39 @@ func Seeds(pos, neg []*tgraph.Graph) []Seed {
 	return out
 }
 
-func collectSeeds(g *tgraph.Graph, gid int32, emit func(k SeedKey, e Embedding)) {
+// collectSeeds appends the one-edge embedding of every edge of g to its
+// key's list in into, skipping keys absent from only when only is non-nil.
+// Node slices are carved out of arena, and only for kept edges.
+func collectSeeds(into, only map[SeedKey]List, g *tgraph.Graph, gid int32, arena *nodeArena) {
 	for pos, e := range g.Edges() {
 		k := SeedKey{Src: g.LabelOf(e.Src), Dst: g.LabelOf(e.Dst), Loop: e.Src == e.Dst}
+		if only != nil {
+			if _, ok := only[k]; !ok {
+				continue
+			}
+		}
 		var nodes []tgraph.NodeID
 		if k.Loop {
-			nodes = []tgraph.NodeID{e.Src}
+			nodes = arena.alloc(1)
+			nodes[0] = e.Src
 		} else {
-			nodes = []tgraph.NodeID{e.Src, e.Dst}
+			nodes = arena.alloc(2)
+			nodes[0], nodes[1] = e.Src, e.Dst
 		}
-		emit(k, Embedding{GraphID: gid, LastPos: int32(pos), Nodes: nodes})
+		into[k] = append(into[k], Embedding{GraphID: gid, LastPos: int32(pos), Nodes: nodes})
 	}
 }
 
 // nodeArenaChunk is the number of NodeIDs handed out per arena chunk. Large
 // enough to amortize one chunk allocation over many embeddings, small enough
 // that a few straggler embeddings pinning a chunk is cheap. Swept by
-// BenchmarkNodeArenaChunk (bench_test.go) on the sshd-login Extend
-// workload, Xeon @ 2.10GHz, go1.24, benchtime=2s, 2026-07 (ns/op, B/op,
-// allocs/op): 128: 592.3/839/1; 256: 567.0/833/1; 512: 575.3/833/1;
-// 1024: 566.7/833/1; 2048: 554.7/832/1. Flat within run-to-run noise from
-// 256 up — the chunk allocation is already amortized to ~1 alloc per
-// Extend call — so 512 stays: 2048's ~3% edge is inside the noise band
-// and quadruples the memory a straggler embedding pins.
+// BenchmarkNodeArenaChunk (bench_test.go) on the sshd-login Children
+// workload, 2-core Xeon, go1.24, benchtime=2s (ns/op, B/op, allocs/op):
+// 128: 1315/879/3; 256: 1277/873/3; 512: 1374/873/3; 1024: 1303/873/3;
+// 2048: 1161/872/3. Flat within run-to-run noise (the chunk allocation is
+// amortized well below one per call), so 512 stays: 2048's edge
+// is inside the noise band and quadruples the memory a straggler
+// embedding pins.
 const nodeArenaChunk = 512
 
 // nodeArenaChunkSize is the chunk size alloc actually uses; a var only so
@@ -278,79 +281,160 @@ func (a *nodeArena) alloc(n int) []tgraph.NodeID {
 
 var nodeArenaPool = sync.Pool{New: func() any { return new(nodeArena) }}
 
-// extScratch is the reusable per-call workspace of Extensions: the
-// deduplication set and the reverse node-mapping buffer, both of which
-// otherwise dominate the function's allocation profile.
+// extScratch is the reusable per-call workspace of Extensions and
+// Children: the extension index and the reverse node-mapping buffer, both of
+// which otherwise dominate the functions' allocation profiles.
 type extScratch struct {
-	seen   map[Ext]struct{}
-	revBuf []int32 // graph node -> pattern node + 1 (0 = unmapped)
+	index map[uint64]int32 // Ext.key() -> bucket ordinal
+	rev   []int32          // graph node -> pattern node + 1 (0 = unmapped); all zero between embeddings
+	hits  []hit            // Children's child embeddings, in scan order
+	exts  []Ext            // Children's extensions, by bucket
+	count []int32          // Children's list length by bucket, then the bucket's output index
+	order []int32          // Children's buckets in Less order
+}
+
+// hit is one child embedding as Children records it before the lists are
+// sized: its bucket, parent embedding, graph edge, and added graph node.
+type hit struct {
+	bucket, parent, pos int32
+	added               tgraph.NodeID
 }
 
 var extScratchPool = sync.Pool{
-	New: func() any { return &extScratch{seen: make(map[Ext]struct{})} },
+	New: func() any { return &extScratch{index: make(map[uint64]int32)} },
 }
 
-// Extensions enumerates the distinct consecutive-growth extensions of the
-// pattern that are witnessed by at least one embedding in l over graphs,
-// returned in deterministic order. Only extensions witnessed in the positive
-// set can raise a pattern's positive frequency above zero, so the miner
-// calls this on the positive list only.
-//
-// Extensions is safe for concurrent use: per-call scratch state comes from
-// an internal pool and the returned slice is freshly allocated.
-func Extensions(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) []Ext {
-	scratch := extScratchPool.Get().(*extScratch)
-	seen := scratch.seen
-	clear(seen)
-	revBuf := scratch.revBuf
-	for _, emb := range l {
+// key packs the two fields that identify an extension of its kind into one
+// word, so the per-edge bucket lookup hashes 8 bytes instead of the 16-byte
+// struct. Pattern node ordinals are far below 2^30, so kinds cannot collide.
+func (x Ext) key() uint64 {
+	var a, b int32
+	switch x.Kind {
+	case tgraph.Forward:
+		a, b = int32(x.Src), int32(x.NewLabel)
+	case tgraph.Backward:
+		a, b = int32(x.Dst), int32(x.NewLabel)
+	default:
+		a, b = int32(x.Src), int32(x.Dst)
+	}
+	return uint64(x.Kind)<<62 | uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
+// scan is the single definition of the consecutive-growth rules. For every
+// embedding l[i] it visits each graph edge after LastPos incident to a
+// mapped node and classifies it: both endpoints mapped is Inward (reported
+// once, from the source side), only the source mapped is Forward, only the
+// destination mapped is Backward. added is the graph node the step maps to
+// the new pattern node, or -1 for Inward. For one embedding and one
+// extension, visits come in increasing position order.
+func (s *extScratch) scan(graphs []*tgraph.Graph, l List, visit func(i int, x Ext, pos int32, added tgraph.NodeID)) {
+	for i, emb := range l {
 		g := graphs[emb.GraphID]
-		if cap(revBuf) < g.NumNodes() {
-			revBuf = make([]int32, g.NumNodes())
+		if len(s.rev) < g.NumNodes() {
+			s.rev = make([]int32, g.NumNodes())
 		}
-		rev := revBuf[:g.NumNodes()]
-		for i := range rev {
-			rev[i] = 0
-		}
+		rev := s.rev
 		for pv, gv := range emb.Nodes {
 			rev[gv] = int32(pv) + 1
 		}
-		// Candidate edges: incident to any mapped node, strictly after the
-		// last matched position. Deduplicate edges seen from both endpoints.
 		for _, gv := range emb.Nodes {
 			inc := g.Incident(gv)
 			start := sort.Search(len(inc), func(i int) bool { return inc[i] > emb.LastPos })
 			for _, pos := range inc[start:] {
 				e := g.EdgeAt(int(pos))
 				sm, dm := rev[e.Src], rev[e.Dst]
-				var x Ext
 				switch {
 				case sm != 0 && dm != 0:
-					// Seen from both endpoints; emit only from the source side
-					// to avoid double work (unless it is a self loop).
-					if e.Src != gv && e.Src != e.Dst {
+					// Seen from both endpoints; report it from the source
+					// side only (a self loop is listed once, at its source).
+					if e.Src != gv {
 						continue
 					}
-					x = Ext{Kind: tgraph.Inward, Src: tgraph.NodeID(sm - 1), Dst: tgraph.NodeID(dm - 1), NewLabel: -1}
+					visit(i, Ext{Kind: tgraph.Inward, Src: tgraph.NodeID(sm - 1), Dst: tgraph.NodeID(dm - 1), NewLabel: -1}, pos, -1)
 				case sm != 0:
-					x = Ext{Kind: tgraph.Forward, Src: tgraph.NodeID(sm - 1), Dst: -1, NewLabel: g.LabelOf(e.Dst)}
+					visit(i, Ext{Kind: tgraph.Forward, Src: tgraph.NodeID(sm - 1), Dst: -1, NewLabel: g.LabelOf(e.Dst)}, pos, e.Dst)
 				case dm != 0:
-					x = Ext{Kind: tgraph.Backward, Src: -1, Dst: tgraph.NodeID(dm - 1), NewLabel: g.LabelOf(e.Src)}
-				default:
-					continue // unreachable: pos came from a mapped node's incident list
+					visit(i, Ext{Kind: tgraph.Backward, Src: -1, Dst: tgraph.NodeID(dm - 1), NewLabel: g.LabelOf(e.Src)}, pos, e.Src)
 				}
-				seen[x] = struct{}{}
 			}
 		}
+		for _, gv := range emb.Nodes {
+			rev[gv] = 0
+		}
 	}
-	out := make([]Ext, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	scratch.revBuf = revBuf
-	extScratchPool.Put(scratch)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+}
+
+// Extensions enumerates the distinct consecutive-growth extensions of the
+// pattern that are witnessed by at least one embedding in l over graphs,
+// returned in deterministic order. Only extensions witnessed in the positive
+// set can raise a pattern's positive frequency above zero, so the miner
+// grows children from the positive list only.
+//
+// Extensions is safe for concurrent use: per-call scratch state comes from
+// an internal pool and the returned slice is freshly allocated.
+func Extensions(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) []Ext {
+	s := extScratchPool.Get().(*extScratch)
+	clear(s.index)
+	var out []Ext
+	s.scan(graphs, l, func(_ int, x Ext, _ int32, _ tgraph.NodeID) {
+		if _, ok := s.index[x.key()]; !ok {
+			s.index[x.key()] = int32(len(out))
+			out = append(out, x)
+		}
+	})
+	extScratchPool.Put(s)
+	slices.SortFunc(out, Ext.compare)
 	return out
+}
+
+// Children is Extensions followed by Extend for each extension, in one pass
+// over l: every witnessed child edge is recorded against its extension,
+// then each extension's list is allocated at its exact length and filled.
+// It returns the extensions in Less order and, for each, exactly the list
+// Extend(exts[i], graphs, l) returns — parent-embedding order, then
+// position order.
+//
+// Children is safe for concurrent use; child node slices are carved out of
+// the pooled chunk arena, as in Extend.
+func Children(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) ([]Ext, []List) {
+	s := extScratchPool.Get().(*extScratch)
+	clear(s.index)
+	s.hits, s.exts, s.count, s.order = s.hits[:0], s.exts[:0], s.count[:0], s.order[:0]
+	s.scan(graphs, l, func(i int, x Ext, pos int32, added tgraph.NodeID) {
+		b, ok := s.index[x.key()]
+		if !ok {
+			b = int32(len(s.exts))
+			s.index[x.key()] = b
+			s.exts = append(s.exts, x)
+			s.count = append(s.count, 0)
+			s.order = append(s.order, b)
+		}
+		s.count[b]++
+		s.hits = append(s.hits, hit{bucket: b, parent: int32(i), pos: pos, added: added})
+	})
+
+	// Lay the buckets out in Less order, each list at its exact length.
+	slices.SortFunc(s.order, func(a, b int32) int { return s.exts[a].compare(s.exts[b]) })
+	exts, lists := make([]Ext, len(s.order)), make([]List, len(s.order))
+	for i, b := range s.order {
+		exts[i], lists[i] = s.exts[b], make(List, 0, s.count[b])
+		s.count[b] = int32(i)
+	}
+	arena := nodeArenaPool.Get().(*nodeArena)
+	for _, h := range s.hits {
+		emb := &l[h.parent]
+		nodes := emb.Nodes
+		if h.added >= 0 {
+			nodes = arena.alloc(len(emb.Nodes) + 1)
+			copy(nodes, emb.Nodes)
+			nodes[len(emb.Nodes)] = h.added
+		}
+		out := &lists[s.count[h.bucket]]
+		*out = append(*out, Embedding{GraphID: emb.GraphID, LastPos: h.pos, Nodes: nodes})
+	}
+	nodeArenaPool.Put(arena)
+	extScratchPool.Put(s)
+	return exts, lists
 }
 
 // Extend computes the embedding list of the child pattern obtained by

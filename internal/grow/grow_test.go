@@ -2,8 +2,10 @@ package grow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tgminer/internal/sysgen"
 	"tgminer/internal/tgraph"
 )
 
@@ -325,5 +327,110 @@ func TestTheorem1CompletenessAndNoRepetition(t *testing.T) {
 					trial, len(visited), len(want))
 			}
 		}
+	}
+}
+
+// --- Children equals Extensions followed by Extend ----------------------
+
+// checkChildren compares Children(p, graphs, l) with Extensions followed by
+// Extend for each extension: the same extensions in the same order, and for
+// each the same embeddings in the same order, field by field.
+func checkChildren(t *testing.T, graphs []*tgraph.Graph, p *tgraph.Pattern, l List) {
+	t.Helper()
+	exts, lists := Children(p, graphs, l)
+	want := Extensions(p, graphs, l)
+	if !slices.Equal(exts, want) {
+		t.Fatalf("%v: Children extensions %v, Extensions %v", p, exts, want)
+	}
+	if len(lists) != len(exts) {
+		t.Fatalf("%v: %d lists for %d extensions", p, len(lists), len(exts))
+	}
+	for i, x := range exts {
+		wl := Extend(x, graphs, l)
+		if len(lists[i]) != len(wl) {
+			t.Fatalf("%v + %+v: %d child embeddings, Extend has %d", p, x, len(lists[i]), len(wl))
+		}
+		for j, e := range lists[i] {
+			w := wl[j]
+			if e.GraphID != w.GraphID || e.LastPos != w.LastPos || !slices.Equal(e.Nodes, w.Nodes) {
+				t.Fatalf("%v + %+v: embedding %d is %+v, Extend has %+v", p, x, j, e, w)
+			}
+		}
+	}
+}
+
+// walkChildren checks checkChildren at every pattern reachable from the
+// seeds of graphs within maxEdges edges, growing through Children, and
+// returns the number of patterns checked.
+func walkChildren(t *testing.T, graphs []*tgraph.Graph, maxEdges int) int {
+	t.Helper()
+	n := 0
+	var walk func(p *tgraph.Pattern, l List)
+	walk = func(p *tgraph.Pattern, l List) {
+		n++
+		checkChildren(t, graphs, p, l)
+		if p.NumEdges() >= maxEdges {
+			return
+		}
+		exts, lists := Children(p, graphs, l)
+		for i, x := range exts {
+			walk(x.Apply(p), lists[i])
+		}
+	}
+	for _, s := range Seeds(graphs, nil) {
+		walk(s.Pattern, s.Pos)
+	}
+	return n
+}
+
+func TestChildrenMatchesExtendHandBuilt(t *testing.T) {
+	cases := []struct {
+		name   string
+		labels []tgraph.Label
+		edges  [][2]tgraph.NodeID
+	}{
+		// Self loops before, between and after ordinary edges, on mapped and
+		// unmapped nodes.
+		{"self loops", []tgraph.Label{0, 1, 1}, [][2]tgraph.NodeID{{0, 0}, {0, 1}, {1, 1}, {0, 0}, {1, 2}, {2, 2}, {1, 0}}},
+		// Parallel edges: several inward, forward and backward candidates
+		// per embedding, so one embedding fans out into several children.
+		{"parallel edges", []tgraph.Label{0, 1, 2}, [][2]tgraph.NodeID{{0, 1}, {0, 1}, {1, 2}, {0, 1}, {1, 2}, {2, 1}, {2, 1}}},
+		// Repeated labels: forward and backward steps to distinct graph nodes
+		// of one label land in one extension.
+		{"repeated labels", []tgraph.Label{0, 0, 0, 1, 1}, [][2]tgraph.NodeID{{0, 1}, {1, 2}, {0, 3}, {2, 0}, {4, 1}, {1, 4}, {3, 0}}},
+		// Embeddings sharing a final edge: A->B at 0 and A'->B at 1 both grow
+		// backward through C->B at 2, and inward through A->B / A'->B later.
+		{"shared final edge", []tgraph.Label{0, 0, 1, 2}, [][2]tgraph.NodeID{{0, 2}, {1, 2}, {3, 2}, {0, 2}, {1, 2}, {2, 3}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := buildGraph(t, c.labels, c.edges)
+			// The graph twice, so lists span several graph IDs.
+			if n := walkChildren(t, []*tgraph.Graph{g, g}, 5); n == 0 {
+				t.Fatal("no patterns checked")
+			}
+		})
+	}
+}
+
+func TestChildrenMatchesExtendRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 40; trial++ {
+		graphs := []*tgraph.Graph{
+			randomGraph(rng, 3+rng.Intn(4), 6+rng.Intn(6), 2),
+			randomGraph(rng, 3+rng.Intn(4), 6+rng.Intn(6), 2),
+		}
+		walkChildren(t, graphs, 4)
+	}
+}
+
+func TestChildrenMatchesExtendSysgen(t *testing.T) {
+	ds := sysgen.Generate(sysgen.Config{
+		Scale: 0.2, GraphsPerBehavior: 2, BackgroundGraphs: 0, Seed: 11,
+		Behaviors: []string{"sshd-login", "apt-get-install"},
+	})
+	for _, bd := range ds.Behaviors {
+		n := walkChildren(t, bd.Graphs, 2)
+		t.Logf("%s: %d patterns checked", bd.Spec.Name, n)
 	}
 }

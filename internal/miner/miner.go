@@ -16,10 +16,12 @@
 // baseline), and temporal subgraph tests delegated to a pluggable
 // SubgraphTester (sequence tests, modified VF2, or graph-index join).
 //
-// Mining parallelizes at the seed level (Options.Parallelism): seed
-// exploration order only affects speed, never the searched-or-pruned set of
-// maximum-score patterns, so a worker pool sharing F* and the pruning
-// registry returns exactly the sequential result at any worker count.
+// Mining parallelizes at the seed level (Options.Parallelism): a worker pool
+// shares F* and the pruning registry. The result is deterministic at one
+// worker. With several workers the tie count can differ between runs,
+// because subgraph pruning is not yet sound under the MaxEdges cap and
+// which registry entries exist when a branch is tested depends on timing
+// (ROADMAP item 1).
 package miner
 
 import (
@@ -89,10 +91,10 @@ type Options struct {
 	MaxRegistry int
 	// Parallelism is the number of workers mining seeds concurrently
 	// (default runtime.GOMAXPROCS(0); 1 forces the classic sequential
-	// search). Seed exploration order only affects speed, never the result
-	// set, so parallel runs return the same BestScore, TieCount, and best
-	// patterns as sequential runs; only Stats counters (which depend on how
-	// often pruning fires) may differ between runs.
+	// search). One worker gives a deterministic result. Several workers
+	// can return a different TieCount and best set from run to run until
+	// subgraph pruning is sound under the MaxEdges cap (ROADMAP item 1);
+	// Stats counters always depend on how often pruning fires.
 	Parallelism int
 }
 
@@ -226,11 +228,11 @@ func Mine(pos, neg []*tgraph.Graph, opts Options) (*Result, error) {
 //
 // When opts.Parallelism > 1, seeds are fanned out to a worker pool sharing
 // one F* (published through atomic float bits for lock-free pruning reads)
-// and one sharded pruning registry. Because seed exploration order only
-// affects speed — pruning with a stale, lower F* merely prunes less — every
-// interleaving returns the same BestScore, TieCount, and best-pattern set;
-// Best is canonicalized (sorted by pattern key) so parallel and sequential
-// runs are byte-for-byte comparable.
+// and one sharded pruning registry. Pruning with a stale, lower F* merely
+// prunes less, but which registry entries a branch is tested against
+// depends on timing, so TieCount and the best set are only guaranteed
+// repeatable at one worker (see Options.Parallelism). Best is canonicalized
+// (sorted by pattern key) so runs are byte-for-byte comparable.
 //
 // Cancellation is cooperative at seed granularity: workers poll ctx between
 // seeds, so a cancel takes effect within at most one seed's branch per
@@ -749,11 +751,12 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	}
 
 	if !prune {
-		for _, ext := range grow.Extensions(p, s.pos, posE) {
-			child := ext.Apply(p)
-			childPos := grow.Extend(ext, s.pos, posE)
+		exts, lists := grow.Children(p, s.pos, posE)
+		for i, ext := range exts {
+			childPos := lists[i]
+			lists[i] = nil // held by the child's frame only, so it dies with it
 			childNeg := grow.Extend(ext, s.neg, negE)
-			b, pr := s.dfs(child, childPos, childNeg)
+			b, pr := s.dfs(ext.Apply(p), childPos, childNeg)
 			if b > branchBest {
 				branchBest = b
 			}

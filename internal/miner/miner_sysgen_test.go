@@ -1,6 +1,9 @@
 package miner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"tgminer/internal/sysgen"
@@ -96,5 +99,62 @@ func TestLazyNegativeResiduals(t *testing.T) {
 	}
 	if res.Stats.SupergraphPrunes != 0 {
 		t.Errorf("SubPrune config triggered supergraph pruning: %s", res.Stats)
+	}
+}
+
+// TestSequentialResultPinned pins the one-worker answer of the default miner
+// on three sysgen behaviours: every Stats counter, F*, the exact tie count
+// and a SHA-256 digest of the sorted canonical keys of the best set, so any
+// change to growth order, child lists or pruning shows up here. If a change
+// is meant to alter the search, re-record them with -v (the test logs what
+// it saw) and say why in the commit.
+func TestSequentialResultPinned(t *testing.T) {
+	ds := sysgen.Generate(sysgen.Config{
+		Scale: 0.25, GraphsPerBehavior: 8, BackgroundGraphs: 40, Seed: 3,
+		Behaviors: []string{"sshd-login", "apt-get-install", "ftp-download"},
+	})
+	want := map[string]struct {
+		stats  Stats
+		fstar  float64
+		ties   int
+		digest string
+	}{
+		"sshd-login": {
+			Stats{PatternsExplored: 15447, UpperBoundPrunes: 7840, SubgraphTests: 1555, ResidualEqTests: 1632,
+				SubgraphPrunes: 6, SupergraphPrunes: 3, RegistrySize: 15447, MaxEdgesSeen: 5},
+			13.815510557964274, 312, "e210e0c7b8e75a8f2ae69b27bd31f3754f9cfc66b160f26e8bd8b20d7890b597",
+		},
+		"apt-get-install": {
+			Stats{PatternsExplored: 31487, UpperBoundPrunes: 16356, SubgraphTests: 1988, ResidualEqTests: 2141,
+				SubgraphPrunes: 6, SupergraphPrunes: 3, RegistrySize: 31487, MaxEdgesSeen: 5},
+			13.815510557964274, 322, "43130bdefd6de2d910dcfcbacb199e036faa2c944e930147219ca7674ee2efe5",
+		},
+		"ftp-download": {
+			Stats{PatternsExplored: 915, UpperBoundPrunes: 426, SubgraphTests: 271, ResidualEqTests: 294,
+				SubgraphPrunes: 6, SupergraphPrunes: 3, RegistrySize: 915, MaxEdgesSeen: 5},
+			13.815510557964274, 218, "cfd16b8417ec38d00fea4f1fe0b5d57aacbcffacb647e6b6bf19ba699a1300ca",
+		},
+	}
+	for _, bd := range ds.Behaviors {
+		opts := TGMinerOptions()
+		opts.MaxEdges = 5
+		opts.Parallelism = 1
+		res, err := Mine(bd.Graphs, ds.Background, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(bestKeys(res), "\n")))
+		digest := hex.EncodeToString(sum[:])
+		t.Logf("%s: stats %s registry %d F* %v ties %d digest %s", bd.Spec.Name, res.Stats, res.Stats.RegistrySize, res.BestScore, res.TieCount, digest)
+		w := want[bd.Spec.Name]
+		if res.Stats != w.stats {
+			t.Errorf("%s: stats %#v, want %#v", bd.Spec.Name, res.Stats, w.stats)
+		}
+		if res.BestScore != w.fstar || res.TieCount != w.ties {
+			t.Errorf("%s: F* %v with %d ties, want %v with %d", bd.Spec.Name, res.BestScore, res.TieCount, w.fstar, w.ties)
+		}
+		if len(res.Best) != res.TieCount || digest != w.digest {
+			t.Errorf("%s: %d best keys with digest %s, want %d with %s", bd.Spec.Name, len(res.Best), digest, w.ties, w.digest)
+		}
 	}
 }
