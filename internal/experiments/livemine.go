@@ -124,7 +124,7 @@ func LiveMine(ctx context.Context, env *Env) (*LiveMineResult, error) {
 
 	opts := miner.TGMinerOptions()
 	opts.MaxEdges = env.Scale.QuerySize
-	opts.Parallelism = 1 // stable single-core latency; results are identical at any level
+	opts.Parallelism = 1 // stable single-core latency and a deterministic result
 	ses := miner.NewSession(opts)
 
 	out := &LiveMineResult{

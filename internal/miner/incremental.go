@@ -124,9 +124,11 @@ type seedCache struct {
 // model. Options are fixed at construction (changing them would invalidate
 // every cached outcome). Methods are safe for concurrent use but runs are
 // serialized; the worker pool inside a single run still parallelizes per
-// Options.Parallelism. Results are byte-identical (Best, BestScore,
-// TieCount) to a cold MineContext on the same data at any worker count;
-// only Stats counters differ, as they already do between worker counts.
+// Options.Parallelism. At one worker, results are byte-identical (Best,
+// BestScore, TieCount) to a cold MineContext on the same data; only Stats
+// counters differ. With several workers the registry variants' ties can
+// differ between runs, cold or warm, because subgraph pruning (Lemma 4) is
+// not yet sound under the MaxEdges cap.
 type Session struct {
 	mu   sync.Mutex
 	opts Options
@@ -223,8 +225,7 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 	posClean := cleanGraphs(pos, ss.posPtrs, ss.posStamp)
 	negClean := cleanGraphs(neg, ss.negPtrs, ss.negStamp)
 
-	seeds := grow.Seeds(pos, neg)
-	sortSeeds(seeds)
+	seeds := sortedSeeds(pos, neg)
 	keys := make([]grow.SeedKey, len(seeds))
 	newID := make(map[grow.SeedKey]int32, len(seeds))
 	for i := range seeds {
@@ -362,7 +363,7 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		}
 		capture2 := make([]seedOutcome, len(work2))
 		stats2 := runSeeds(ctx, pos, neg, ss.opts, sh, ss.reg, ss.testers, work2, ids2, capture2)
-		addStats(&stats, stats2)
+		stats.merge(stats2)
 		work = append(work, work2...)
 		ids = append(ids, ids2...)
 		capture = append(capture, capture2...)
@@ -418,19 +419,6 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 	ss.stats.LastCarried = carried
 	ss.stats.LastWarmStart = warmF
 	return res, nil
-}
-
-// addStats folds the second exploration phase's counters into the first's.
-func addStats(dst *Stats, s Stats) {
-	dst.PatternsExplored += s.PatternsExplored
-	dst.UpperBoundPrunes += s.UpperBoundPrunes
-	dst.SubgraphTests += s.SubgraphTests
-	dst.ResidualEqTests += s.ResidualEqTests
-	dst.SubgraphPrunes += s.SubgraphPrunes
-	dst.SupergraphPrunes += s.SupergraphPrunes
-	if s.MaxEdgesSeen > dst.MaxEdgesSeen {
-		dst.MaxEdgesSeen = s.MaxEdgesSeen
-	}
 }
 
 // supportClean reports whether every graph supporting the embedding list is

@@ -18,10 +18,10 @@
 //
 // Mining parallelizes at the seed level (Options.Parallelism): a worker pool
 // shares F* and the pruning registry. The result is deterministic at one
-// worker. With several workers the tie count can differ between runs,
-// because subgraph pruning is not yet sound under the MaxEdges cap and
-// which registry entries exist when a branch is tested depends on timing
-// (ROADMAP item 1).
+// worker. With several workers the registry variants' tie count can differ
+// between runs, because subgraph pruning (Lemma 4) is not yet sound under the
+// MaxEdges cap and which registry entries exist when a branch is tested
+// depends on timing.
 package miner
 
 import (
@@ -48,20 +48,19 @@ import (
 // Implementations: seqcode.Tester (TGMiner default), vf2.Tester (PruneVF2),
 // gindex.Tester (PruneGI).
 //
-// Testers are not assumed safe for concurrent use. For parallel mining
-// (Options.Parallelism > 1), implementations should additionally provide
-//
-//	CloneTester() any
-//
-// returning a fresh instance (the repo's testers all do); each worker then
-// tests on its own clone. Implementations without it are serialized behind
-// one mutex, which caps the parallel speedup of test-heavy configurations.
+// Testers are not assumed safe for concurrent use: a parallel run gives
+// each worker its own instance from CloneTester, so every implementation
+// must provide one. There is no shared, mutex-guarded fallback.
 type SubgraphTester interface {
 	// Name identifies the tester in stats output.
 	Name() string
 	// Test reports whether g1 is a temporal subgraph of g2 (g1 ⊆t g2),
 	// returning the node mapping from g1 nodes to g2 nodes when it is.
 	Test(g1, g2 *tgraph.Pattern) ([]tgraph.NodeID, bool)
+	// CloneTester returns a fresh instance for another worker. It must be a
+	// SubgraphTester; the return type is any so tester packages can
+	// implement it without importing this package.
+	CloneTester() any
 }
 
 // Options configures a mining run. Zero values are completed by
@@ -92,9 +91,9 @@ type Options struct {
 	// Parallelism is the number of workers mining seeds concurrently
 	// (default runtime.GOMAXPROCS(0); 1 forces the classic sequential
 	// search). One worker gives a deterministic result. Several workers
-	// can return a different TieCount and best set from run to run until
-	// subgraph pruning is sound under the MaxEdges cap (ROADMAP item 1);
-	// Stats counters always depend on how often pruning fires.
+	// can return a different TieCount and best set from run to run when a
+	// registry pruning is on, until subgraph pruning is sound under the
+	// MaxEdges cap; Stats counters always depend on how often pruning fires.
 	Parallelism int
 }
 
@@ -250,19 +249,11 @@ func MineContext(ctx context.Context, pos, neg []*tgraph.Graph, opts Options) (*
 	if err := ctx.Err(); err != nil {
 		return &Result{BestScore: inf(), Elapsed: time.Since(start)}, err
 	}
-	seeds := grow.Seeds(pos, neg)
-	sortSeeds(seeds)
-
-	workers := poolSize(opts.Parallelism, len(seeds))
+	seeds := sortedSeeds(pos, neg)
 	sh := newShared(opts.MaxResults)
 	reg := newRegistry(opts.ResidualLinear, opts.MaxRegistry)
-	testers := testersFor(opts.Tester, workers)
-
-	ids := make([]int32, len(seeds))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	stats := runSeeds(ctx, pos, neg, opts, sh, reg, testers, seeds, ids, nil)
+	testers := testersFor(opts.Tester, poolSize(opts.Parallelism, len(seeds)))
+	stats := runSeeds(ctx, pos, neg, opts, sh, reg, testers, seeds, nil, nil)
 	stats.RegistrySize = reg.size()
 	res := &Result{
 		Best:      sh.canonicalBest(),
@@ -276,15 +267,17 @@ func MineContext(ctx context.Context, pos, neg []*tgraph.Graph, opts Options) (*
 
 func inf() float64 { return -1e308 }
 
-// sortSeeds orders seeds high-positive-support, low-negative-support first.
-// F* reaches its ceiling as soon as a maximally frequent, zero-negative
-// pattern is found, after which the upper-bound condition kills every
-// lower-support branch on sight and the subgraph/supergraph conditions can
-// cut redundant frequent-but-undiscriminative branches — the "find
-// discriminative patterns early to prune early" strategy the paper cites
-// from leap search [30]. Ordering only affects speed: the
-// searched-or-pruned set of maximum-score patterns is unchanged.
-func sortSeeds(seeds []grow.Seed) {
+// sortedSeeds returns the single-edge seeds of pos against neg ordered
+// high-positive-support, low-negative-support first. The threshold reaches
+// its ceiling as soon as a maximally frequent, zero-negative pattern is
+// found, after which the upper-bound condition kills every lower-support
+// branch on sight and the subgraph/supergraph conditions can cut redundant
+// frequent-but-undiscriminative branches — the "find discriminative
+// patterns early to prune early" strategy the paper cites from leap search
+// [30]. Ordering only affects speed: the searched-or-pruned set of
+// maximum-score patterns is unchanged.
+func sortedSeeds(pos, neg []*tgraph.Graph) []grow.Seed {
+	seeds := grow.Seeds(pos, neg)
 	sort.SliceStable(seeds, func(i, j int) bool {
 		pi, pj := seeds[i].Pos.SupportCount(), seeds[j].Pos.SupportCount()
 		if pi != pj {
@@ -292,6 +285,7 @@ func sortSeeds(seeds []grow.Seed) {
 		}
 		return seeds[i].Neg.SupportCount() < seeds[j].Neg.SupportCount()
 	})
+	return seeds
 }
 
 // poolSize clamps the configured parallelism to the available work.
@@ -320,23 +314,22 @@ type seedOutcome struct {
 	tieKeys  []string
 }
 
-// runSeeds drives the seed-level worker pool shared by MineContext and
-// Session.Mine. work[i] is explored tagged with registry ordinal ids[i];
-// when capture is non-nil (session mode), the subtree outcome of work[i]
-// is stored in capture[i]. Workers poll ctx between seeds, so each seed's
+// runSeeds drives the seed-level worker pool shared by MineContext,
+// MineTopKContext and Session.Mine: every worker runs the one dfs, feeding
+// sk. work[i] is explored tagged with registry ordinal ids[i] (i itself when
+// ids is nil); when capture is non-nil (session mode), the subtree outcome of
+// work[i] is stored in capture[i]. reg may be nil when the options enable
+// neither registry pruning. Workers poll ctx between seeds, so each seed's
 // branch is either wholly mined or untouched.
-func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sh *shared, reg *registry, testers []SubgraphTester, work []grow.Seed, ids []int32, capture []seedOutcome) Stats {
-	workers := poolSize(opts.Parallelism, len(work))
-	if workers > len(testers) {
-		workers = len(testers)
-	}
+func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk sink, reg *registry, testers []SubgraphTester, work []grow.Seed, ids []int32, capture []seedOutcome) Stats {
+	workers := min(poolSize(opts.Parallelism, len(work)), len(testers))
 	searches := make([]*search, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wopts := opts
 		wopts.Tester = testers[w]
-		s := &search{pos: pos, neg: neg, opts: wopts, sh: sh, reg: reg}
+		s := &search{pos: pos, neg: neg, opts: wopts, sink: sk, reg: reg}
 		if capture != nil {
 			s.cap = &seedTies{}
 			s.cap.list.max = opts.MaxResults
@@ -353,7 +346,10 @@ func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sh *s
 				if i >= len(work) {
 					return
 				}
-				s.seedID = ids[i]
+				s.seedID = int32(i)
+				if ids != nil {
+					s.seedID = ids[i]
+				}
 				if s.cap != nil {
 					s.cap.reset()
 				}
@@ -393,56 +389,18 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
-// testerCloner is the optional per-worker instantiation hook documented on
-// SubgraphTester. The return type is any (not SubgraphTester) so tester
-// packages can implement it without importing this package.
-type testerCloner interface {
-	CloneTester() any
-}
-
 // testersFor returns one temporal-subgraph tester per worker. Testers carry
 // per-instance state (at minimum stats counters), so sharing one instance
-// across workers would race; cloneable testers get one clone per worker
-// (worker 0 keeps the caller's instance so single-worker runs accumulate
-// its stats exactly as before). Implementations without CloneTester fall
-// back to a single mutex-guarded wrapper.
+// across workers would race: worker 0 keeps the caller's instance, so
+// single-worker runs accumulate its stats exactly as before, and every other
+// worker tests on its own clone.
 func testersFor(t SubgraphTester, workers int) []SubgraphTester {
 	out := make([]SubgraphTester, workers)
 	out[0] = t
-	if workers == 1 {
-		return out
-	}
-	c, ok := t.(testerCloner)
 	for w := 1; w < workers; w++ {
-		var clone SubgraphTester
-		if ok {
-			clone, _ = c.CloneTester().(SubgraphTester)
-		}
-		if clone == nil {
-			lt := &lockedTester{t: t}
-			for i := range out {
-				out[i] = lt
-			}
-			return out
-		}
-		out[w] = clone
+		out[w] = t.CloneTester().(SubgraphTester)
 	}
 	return out
-}
-
-// lockedTester serializes access to a tester of unknown (and therefore
-// presumed non-concurrency-safe) implementation.
-type lockedTester struct {
-	mu sync.Mutex
-	t  SubgraphTester
-}
-
-func (l *lockedTester) Name() string { return l.t.Name() }
-
-func (l *lockedTester) Test(g1, g2 *tgraph.Pattern) ([]tgraph.NodeID, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.t.Test(g1, g2)
 }
 
 // tieList is a tie set capped at max patterns, deterministically retaining
@@ -497,10 +455,23 @@ func (t *tieList) add(sp ScoredPattern, key string) {
 	}
 }
 
-// shared is the cross-worker mining state: F* and the tied best set. F* is
-// additionally published as atomic float bits so the hot pruning paths can
-// read it without taking the mutex; it is monotonically non-decreasing, so a
-// stale read can only under-prune, never cut a surviving branch.
+// sink is what the DFS reports to and prunes against: threshold is a recent
+// lower bound on the score a pattern must reach to matter, non-decreasing
+// over a run (so a stale read only under-prunes), and consider offers every
+// visited pattern. Branches whose upper bound falls strictly below the
+// threshold are cut; strictly, because a descendant scoring exactly the
+// threshold still ties F* or can win a top-K tie-break. shared (F* and its
+// tie set) and sharedTopK (the K best) are the two implementations.
+type sink interface {
+	threshold() float64
+	consider(p *tgraph.Pattern, sc, x, y float64)
+}
+
+// shared is the cross-worker state of the maximum search: F* and the tied
+// best set. F* is additionally published as atomic float bits so the hot
+// pruning paths can read it without taking the mutex; it is monotonically
+// non-decreasing, so a stale read can only under-prune, never cut a
+// surviving branch.
 type shared struct {
 	fstarBits atomic.Uint64
 
@@ -517,8 +488,8 @@ func newShared(maxResults int) *shared {
 	return sh
 }
 
-// load returns a recent lower bound on F* without locking.
-func (sh *shared) load() float64 {
+// threshold returns a recent lower bound on F* without locking.
+func (sh *shared) threshold() float64 {
 	return math.Float64frombits(sh.fstarBits.Load())
 }
 
@@ -533,10 +504,10 @@ func (sh *shared) seedFstar(f float64) {
 	sh.fstarBits.Store(math.Float64bits(f))
 }
 
-// record updates F* and the tied best set. When the tie set overflows
+// consider updates F* and the tied best set. When the tie set overflows
 // maxResults, the patterns with the smallest canonical keys are retained.
-func (sh *shared) record(p *tgraph.Pattern, sc, x, y float64) {
-	if sc < sh.load() {
+func (sh *shared) consider(p *tgraph.Pattern, sc, x, y float64) {
+	if sc < sh.threshold() {
 		return // stale reads only under-filter; re-checked under the lock
 	}
 	// Canonicalize outside the lock: Key() allocates and walks the pattern,
@@ -561,7 +532,7 @@ func (sh *shared) record(p *tgraph.Pattern, sc, x, y float64) {
 // capped at the smallest maxResults keys) into the shared state without
 // re-exploring the seed. Ties whose score has been overtaken by a higher
 // F* contribute nothing, exactly as their re-discovered patterns would
-// have been dropped by record.
+// have been dropped by consider.
 func (sh *shared) injectTies(score float64, pats []ScoredPattern, keys []string, count int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -606,8 +577,8 @@ func (b *byKey) Swap(i, j int) {
 type search struct {
 	pos, neg []*tgraph.Graph
 	opts     Options
-	sh       *shared
-	reg      *registry
+	sink     sink
+	reg      *registry // read only when a registry pruning is on; nil in MineTopK
 	stats    Stats
 	// seedID is the registry ordinal of the seed currently being explored;
 	// entries registered during the seed's subtree carry it so incremental
@@ -692,11 +663,12 @@ func (s *search) putSet(b residual.Set) {
 }
 
 // dfs explores the branch rooted at p, returning the best score seen in the
-// branch (p included) and whether any F*-dependent prune (upper bound,
-// subgraph, or supergraph) cut part of the subtree. The MaxEdges cut is
-// structural — independent of F* — so it does not set the flag: a subtree
-// finished without F*-dependent prunes has been searched exhaustively
-// within the configured pattern-size bound, and its returned best is exact.
+// branch (p included) and whether any threshold-dependent prune (upper
+// bound, subgraph, or supergraph) cut part of the subtree. The MaxEdges cut
+// is structural — independent of the threshold — so it does not set the
+// flag: a subtree finished without threshold-dependent prunes has been
+// searched exhaustively within the configured pattern-size bound, and its
+// returned best is exact.
 func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	s.stats.PatternsExplored++
 	if n := p.NumEdges(); n > s.stats.MaxEdgesSeen {
@@ -705,15 +677,22 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	x := posE.Frequency(len(s.pos))
 	y := negE.Frequency(len(s.neg))
 	sc := s.opts.Score.Score(x, y)
-	s.sh.record(p, sc, x, y)
+	s.sink.consider(p, sc, x, y)
 	if s.cap != nil {
 		s.cap.observe(p, sc, x, y)
 	}
 	branchBest := sc
 	pruned := false
 
-	resPos := posE.ResidualSetInto(s.getSet())
-	iPos := resPos.I(s.pos)
+	// Residual sets and their integers feed only the registry's prunings and
+	// registrations, so the upper-bound-only search never builds them.
+	useReg := s.opts.SubgraphPruning || s.opts.SupergraphPruning
+	var resPos residual.Set
+	var iPos int64
+	if useReg {
+		resPos = posE.ResidualSetInto(s.getSet())
+		iPos = resPos.I(s.pos)
+	}
 
 	// Negative residual sets are only needed by supergraph pruning and its
 	// registration; computed at most once per pattern, and only when a
@@ -734,7 +713,7 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	switch {
 	case p.NumEdges() >= s.opts.MaxEdges:
 		prune = true
-	case s.opts.Score.UpperBound(x) < s.sh.load():
+	case s.opts.Score.UpperBound(x) < s.sink.threshold():
 		s.stats.UpperBoundPrunes++
 		prune, pruned = true, true
 	default:
@@ -764,7 +743,9 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 		}
 	}
 
-	s.register(p, resPos, iPos, negSet, branchBest, pruned)
+	if useReg {
+		s.register(p, resPos, iPos, negSet, branchBest, pruned)
+	}
 	// In integer mode nothing past this point references the sets (registry
 	// entries keep only iPos/iNeg), so their buffers recycle into the
 	// freelist; linear mode stores them in the entry and must not.
@@ -782,7 +763,7 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 // supergraph of p, (b) has the same positive residual graph set, and (c)
 // has no extra node whose label appears in p's positive residual label set.
 func (s *search) subgraphPrune(p *tgraph.Pattern, resPos residual.Set, iPos int64) bool {
-	fstar := s.sh.load()
+	fstar := s.sink.threshold()
 	for _, cand := range s.reg.candidates(iPos) {
 		if cand.branchBest >= fstar {
 			continue
@@ -819,7 +800,7 @@ func (s *search) subgraphPrune(p *tgraph.Pattern, resPos residual.Set, iPos int6
 // of p with identical positive and negative residual sets and the same node
 // count. negSet lazily supplies p's negative residual set.
 func (s *search) supergraphPrune(p *tgraph.Pattern, resPos residual.Set, iPos int64, negSet func() (residual.Set, int64)) bool {
-	fstar := s.sh.load()
+	fstar := s.sink.threshold()
 	for _, cand := range s.reg.candidates(iPos) {
 		if cand.branchBest >= fstar {
 			continue
@@ -879,9 +860,6 @@ func labelsTouchResiduals(set residual.Set, labels []tgraph.Label, graphs []*tgr
 
 // register adds a completed branch to the pruning registry.
 func (s *search) register(p *tgraph.Pattern, resPos residual.Set, iPos int64, negSet func() (residual.Set, int64), branchBest float64, pruned bool) {
-	if !s.opts.SubgraphPruning && !s.opts.SupergraphPruning {
-		return
-	}
 	if s.reg.full() {
 		return
 	}

@@ -64,19 +64,18 @@ type MineOptions struct {
 	// keys are kept, so the retained subset is deterministic.
 	MaxResults int
 	// Parallelism is the number of workers mining seeds concurrently
-	// (default runtime.GOMAXPROCS(0); 1 forces the sequential search).
-	// Parallel runs return the same BestScore, TieCount, and best-pattern
-	// set as sequential runs; only Stats counters may vary.
+	// (default runtime.GOMAXPROCS(0); 1 forces the sequential search). One
+	// worker gives a deterministic result. With several workers the
+	// registry variants (every algorithm but AlgoExhaustive) can return a
+	// different TieCount and best set from run to run, because subgraph
+	// pruning is not yet sound under the MaxEdges cap; Stats counters can
+	// vary for every algorithm.
 	Parallelism int
 }
 
-// MinedPattern is a discovered pattern with its statistics.
-type MinedPattern struct {
-	Pattern *Pattern
-	Score   float64
-	PosFreq float64
-	NegFreq float64
-}
+// MinedPattern is a discovered pattern with its statistics: Pattern, Score,
+// PosFreq and NegFreq.
+type MinedPattern = miner.ScoredPattern
 
 // MineStats are search counters (see the paper's Table 3).
 type MineStats = miner.Stats
@@ -111,16 +110,15 @@ func MineContext(ctx context.Context, pos, neg []*Graph, opts MineOptions) (*Min
 		return nil, err
 	}
 	res, err := miner.MineContext(ctx, pos, neg, mo)
+	return mineResult(res), err
+}
+
+// mineResult lifts a miner result onto the facade type; nil stays nil.
+func mineResult(res *miner.Result) *MineResult {
 	if res == nil {
-		return nil, err
+		return nil
 	}
-	out := &MineResult{BestScore: res.BestScore, TieCount: res.TieCount, Stats: res.Stats}
-	for _, sp := range res.Best {
-		out.Best = append(out.Best, MinedPattern{
-			Pattern: sp.Pattern, Score: sp.Score, PosFreq: sp.PosFreq, NegFreq: sp.NegFreq,
-		})
-	}
-	return out, err
+	return &MineResult{Best: res.Best, BestScore: res.BestScore, TieCount: res.TieCount, Stats: res.Stats}
 }
 
 // minerOptions lowers MineOptions onto the internal miner configuration.
@@ -198,8 +196,10 @@ type DriftAlert struct {
 // warm-starts the shared pruning threshold before any worker runs — which
 // is safe because that score is still achieved on the current data, so the
 // threshold stays a valid lower bound of the true F* and can only
-// under-prune. Results are byte-identical (Best, BestScore, TieCount) to a
-// cold Mine over the same data; only Stats counters differ. See
+// under-prune. At one worker, results are byte-identical (Best, BestScore,
+// TieCount) to a cold Mine over the same data; only Stats counters differ.
+// With several workers the registry variants' ties can differ from run to
+// run (see MineOptions.Parallelism). See
 // internal/miner's incremental documentation for the full invalidation
 // model and its proof obligations.
 //
@@ -238,14 +238,9 @@ func (s *MineSession) MineContext(ctx context.Context, pos, neg []*Graph) (*Mine
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res, err := s.ses.MineContext(ctx, pos, neg)
-	if res == nil {
+	out := mineResult(res)
+	if out == nil {
 		return nil, err
-	}
-	out := &MineResult{BestScore: res.BestScore, TieCount: res.TieCount, Stats: res.Stats}
-	for _, sp := range res.Best {
-		out.Best = append(out.Best, MinedPattern{
-			Pattern: sp.Pattern, Score: sp.Score, PosFreq: sp.PosFreq, NegFreq: sp.NegFreq,
-		})
 	}
 	if err == nil {
 		s.drift = driftAlerts(s.prev, out)
@@ -370,13 +365,7 @@ func MineTopKContext(ctx context.Context, pos, neg []*Graph, k int, opts MineOpt
 	if res == nil {
 		return nil, err
 	}
-	out := &TopKResult{Threshold: res.Threshold, Stats: res.Stats}
-	for _, sp := range res.Patterns {
-		out.Patterns = append(out.Patterns, MinedPattern{
-			Pattern: sp.Pattern, Score: sp.Score, PosFreq: sp.PosFreq, NegFreq: sp.NegFreq,
-		})
-	}
-	return out, err
+	return &TopKResult{Patterns: res.Patterns, Threshold: res.Threshold, Stats: res.Stats}, err
 }
 
 // Interest is the Appendix M domain-knowledge ranking function.
@@ -400,7 +389,9 @@ type QueryOptions struct {
 	// Interest ranks tied patterns; optional.
 	Interest *Interest
 	// Parallelism is the number of mining workers (default
-	// runtime.GOMAXPROCS(0); results are identical at any level).
+	// runtime.GOMAXPROCS(0)). One worker gives a deterministic result; with
+	// several, the registry variants' tie sets, and so the ranked queries,
+	// can differ from run to run (see MineOptions.Parallelism).
 	Parallelism int
 }
 
