@@ -1,11 +1,13 @@
-// Benchmarks regenerating every table and figure of the TGMiner paper
-// (Section 6) at a scaled-down size, plus micro-benchmarks and ablations
-// for the design choices called out in DESIGN.md. Run:
+// Micro-benchmarks and ablations a developer runs by hand while working on
+// one layer: subgraph tests (sequence encoding vs VF2), residual
+// equivalence, query evaluation and streaming, live appends beside
+// streams, pattern growth, incremental mining and corpus generation. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run XXX -bench . -benchmem
 //
-// Each BenchmarkTableN / BenchmarkFigureN corresponds to the same-numbered
-// exhibit in the paper; cmd/experiments prints the full rendered output.
+// These are development probes, not the benchmark. The paper's exhibits
+// run in internal/experiments' tests and print their timings from
+// cmd/experiments; end-to-end and per-layer numbers come from cmd/tgbench.
 package tgminer
 
 import (
@@ -29,7 +31,6 @@ func benchScale() experiments.Scale {
 	s.GraphsPerBehavior = 8
 	s.BackgroundGraphs = 24
 	s.TestInstances = 36
-	s.MaxPatternEdges = 6
 	return s
 }
 
@@ -46,190 +47,6 @@ func benchEnv(b *testing.B) *experiments.Env {
 		benchEnvVal.Interest()
 	})
 	return benchEnvVal
-}
-
-func BenchmarkTable1TrainingData(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table1(env)
-		if len(res.Rows) == 0 {
-			b.Fatal("empty table 1")
-		}
-	}
-}
-
-func BenchmarkTable2QueryAccuracy(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2(context.Background(), env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prec, _ := res.Averages()
-		if prec[2] == 0 {
-			b.Fatal("degenerate TGMiner precision")
-		}
-	}
-}
-
-func BenchmarkTable3PruningTriggers(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(context.Background(), env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10Patterns(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure10(context.Background(), env, ""); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure11QuerySize(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(context.Background(), env, []int{2, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12TrainingAmount(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12(context.Background(), env, []float64{0.5, 1.0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure13Mining* times one full mining run per algorithm over the
-// paper's size classes (the content of Figure 13's bar charts).
-func benchmarkMiningAlgo(b *testing.B, algo Algorithm, behavior string) {
-	env := benchEnv(b)
-	pos := env.Data.ByName(behavior)
-	if pos == nil {
-		b.Fatalf("behavior %s missing", behavior)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Parallelism pinned to 1: Figure 13 compares algorithms on the
-		// paper's single-threaded search; BenchmarkMineParallel sweeps
-		// worker counts explicitly.
-		res, err := Mine(pos, env.Data.Background, MineOptions{
-			Algorithm: algo, MaxEdges: benchScale().MaxPatternEdges, Parallelism: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TieCount == 0 {
-			b.Fatal("no patterns")
-		}
-	}
-}
-
-func BenchmarkFigure13MiningSmallTGMiner(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoTGMiner, "bzip2-decompress")
-}
-func BenchmarkFigure13MiningSmallPruneGI(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoPruneGI, "bzip2-decompress")
-}
-func BenchmarkFigure13MiningSmallSubPrune(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoSubPrune, "bzip2-decompress")
-}
-func BenchmarkFigure13MiningSmallLinearScan(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoLinearScan, "bzip2-decompress")
-}
-func BenchmarkFigure13MiningSmallPruneVF2(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoPruneVF2, "bzip2-decompress")
-}
-func BenchmarkFigure13MiningSmallSupPrune(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoSupPrune, "bzip2-decompress")
-}
-
-func BenchmarkFigure13MiningMediumTGMiner(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoTGMiner, "ssh-login")
-}
-func BenchmarkFigure13MiningMediumPruneVF2(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoPruneVF2, "ssh-login")
-}
-func BenchmarkFigure13MiningLargeTGMiner(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoTGMiner, "sshd-login")
-}
-func BenchmarkFigure13MiningLargePruneVF2(b *testing.B) {
-	benchmarkMiningAlgo(b, AlgoPruneVF2, "sshd-login")
-}
-
-// BenchmarkMineParallel sweeps Options.Parallelism over the bench-scale
-// workload. It measures wall clock only: the result is deterministic at one
-// worker, and with several the default's tie count can vary from run to run
-// (see MineOptions.Parallelism).
-// On a single-core host the worker pool adds scheduling overhead but no
-// speedup — record BENCH trajectories on multi-core hardware.
-func BenchmarkMineParallel(b *testing.B) {
-	env := benchEnv(b)
-	pos := env.Data.ByName("sshd-login")
-	if pos == nil {
-		b.Fatal("behavior sshd-login missing")
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := Mine(pos, env.Data.Background, MineOptions{
-					MaxEdges: benchScale().MaxPatternEdges, Parallelism: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.TieCount == 0 {
-					b.Fatal("no patterns")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkFigure14MaxPatternSize(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure14(context.Background(), env, []int{2, 4, 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure15TrainingScaling(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure15(context.Background(), env, []float64{0.5, 1.0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure16Synthetic(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure16(context.Background(), env, []int{2, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Micro-benchmarks and ablations --------------------------------------

@@ -1,6 +1,9 @@
 // Command experiments regenerates every table and figure of the TGMiner
-// paper's evaluation (Section 6) on the synthetic corpus. Each experiment
-// prints measured values alongside the paper's reported numbers.
+// paper's evaluation (Section 6) on the synthetic corpus, plus the
+// temporal-constraints exhibit. Each experiment prints measured values
+// alongside the paper's reported numbers. Performance outside the paper's
+// exhibits (parallel mining, sharded ingest, continuous mining, the serving
+// tier) is measured by cmd/tgbench.
 //
 // Usage:
 //
@@ -16,19 +19,91 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
 	"tgminer/internal/cmdutil"
 	"tgminer/internal/experiments"
-	"tgminer/internal/experiments/serveload"
 )
 
-var names = []string{
-	"table1", "table2", "table3",
-	"figure10", "figure11", "figure12", "figure13", "figure14", "figure15", "figure16",
-	"parallel", "sharded", "livemine", "serve", "constraints",
+type renderer interface{ Render() string }
+
+// exhibit is one experiment: its -only name and the function that runs it.
+// includeSlow is the -include-slow flag.
+type exhibit struct {
+	name string
+	run  func(ctx context.Context, env *experiments.Env, includeSlow bool) (renderer, error)
+}
+
+// exhibits lists every experiment in run order; -list, -only and the
+// default selection all read it.
+var exhibits = []exhibit{
+	{"table1", func(_ context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Table1(env), nil
+	}},
+	{"table2", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Table2(ctx, env)
+	}},
+	{"figure10", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure10(ctx, env, "")
+	}},
+	{"figure11", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure11(ctx, env, nil)
+	}},
+	{"figure12", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure12(ctx, env, nil)
+	}},
+	{"figure13", func(ctx context.Context, env *experiments.Env, includeSlow bool) (renderer, error) {
+		return experiments.Figure13(ctx, env, includeSlow)
+	}},
+	{"figure14", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure14(ctx, env, nil)
+	}},
+	{"table3", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Table3(ctx, env)
+	}},
+	{"figure15", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure15(ctx, env, nil)
+	}},
+	{"figure16", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.Figure16(ctx, env, nil)
+	}},
+	{"constraints", func(ctx context.Context, env *experiments.Env, _ bool) (renderer, error) {
+		return experiments.ConstraintExhibit(ctx, env)
+	}},
+}
+
+func names(es []exhibit) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.name
+	}
+	return out
+}
+
+// selectExhibits returns the exhibits named in the comma-separated list, in
+// table order; an empty list selects all of them. An unknown name is an
+// error.
+func selectExhibits(only string) ([]exhibit, error) {
+	if only == "" {
+		return exhibits, nil
+	}
+	want := map[string]bool{}
+	for _, n := range strings.Split(only, ",") {
+		n = strings.TrimSpace(n)
+		if !slices.Contains(names(exhibits), n) {
+			return nil, fmt.Errorf("unknown experiment %q", n)
+		}
+		want[n] = true
+	}
+	var out []exhibit
+	for _, e := range exhibits {
+		if want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 func main() {
@@ -36,14 +111,17 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale run (hours) instead of quick scale")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	includeSlow := flag.Bool("include-slow", false, "run SupPrune on medium/large classes in figure13")
-	workerSweep := flag.String("workers", "", "comma-separated worker counts for the parallel experiment (default 1,2,4,8)")
-	shardSweep := flag.String("shards", "", "comma-separated shard counts for the sharded ingest experiment (default 1,2,4,8)")
 	timeout := flag.Duration("timeout", 0, "overall deadline (e.g. 10m); 0 = none. Ctrl-C also cancels cooperatively")
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(names(exhibits), "\n"))
 		return
+	}
+	selected, err := selectExhibits(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v; valid names: %s\n", err, strings.Join(names(exhibits), ", "))
+		os.Exit(2)
 	}
 	// Ctrl-C or the deadline cancels the context-aware mining entry points
 	// at seed granularity; completed experiments stay printed. A second
@@ -54,125 +132,30 @@ func main() {
 	if *full {
 		scale = experiments.Full()
 	}
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, n := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(n)] = true
-		}
-	} else {
-		for _, n := range names {
-			selected[n] = true
-		}
-	}
 
 	fmt.Printf("generating corpus (scale=%s)...\n", scale.Name)
 	start := time.Now()
 	env := experiments.NewEnv(scale)
 	fmt.Printf("corpus ready in %s\n\n", time.Since(start).Round(time.Millisecond))
 
-	// skipped flips when cancellation actually cost us an experiment; a
-	// deadline expiring after the last experiment finished is a success.
-	skipped := false
-	run := func(name string, fn func() (interface{ Render() string }, error)) {
-		if !selected[name] {
-			return
-		}
+	for _, e := range selected {
+		// A deadline expiring after the last experiment finished is a
+		// success; one that costs an experiment is not.
 		if ctx.Err() != nil {
-			skipped = true
-			return
+			fmt.Fprintf(os.Stderr, "experiments: cancelled (%v); completed experiments above\n", context.Cause(ctx))
+			os.Exit(130)
 		}
 		t0 := time.Now()
-		res, err := fn()
+		res, err := e.run(ctx, env, *includeSlow)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintf(os.Stderr, "%s: cancelled (%v); earlier experiments above are complete\n", name, err)
+				fmt.Fprintf(os.Stderr, "%s: cancelled (%v); earlier experiments above are complete\n", e.name, err)
 				os.Exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(res.Render())
-		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %s]\n\n", e.name, time.Since(t0).Round(time.Millisecond))
 	}
-
-	run("table1", func() (interface{ Render() string }, error) {
-		return experiments.Table1(env), nil
-	})
-	run("table2", func() (interface{ Render() string }, error) {
-		return experiments.Table2(ctx, env)
-	})
-	run("figure10", func() (interface{ Render() string }, error) {
-		return experiments.Figure10(ctx, env, "")
-	})
-	run("figure11", func() (interface{ Render() string }, error) {
-		return experiments.Figure11(ctx, env, nil)
-	})
-	run("figure12", func() (interface{ Render() string }, error) {
-		return experiments.Figure12(ctx, env, nil)
-	})
-	run("figure13", func() (interface{ Render() string }, error) {
-		return experiments.Figure13(ctx, env, *includeSlow)
-	})
-	run("figure14", func() (interface{ Render() string }, error) {
-		return experiments.Figure14(ctx, env, nil)
-	})
-	run("table3", func() (interface{ Render() string }, error) {
-		return experiments.Table3(ctx, env)
-	})
-	run("figure15", func() (interface{ Render() string }, error) {
-		return experiments.Figure15(ctx, env, nil)
-	})
-	run("figure16", func() (interface{ Render() string }, error) {
-		return experiments.Figure16(ctx, env, nil)
-	})
-	run("parallel", func() (interface{ Render() string }, error) {
-		return experiments.ParallelScaling(ctx, env, parseWorkers(*workerSweep))
-	})
-	run("sharded", func() (interface{ Render() string }, error) {
-		events := 50000
-		if *full {
-			events = 500000
-		}
-		return experiments.ShardedIngest(ctx, parseCounts("shards", *shardSweep), events)
-	})
-	run("livemine", func() (interface{ Render() string }, error) {
-		return experiments.LiveMine(ctx, env)
-	})
-	run("constraints", func() (interface{ Render() string }, error) {
-		return experiments.ConstraintExhibit(ctx, env)
-	})
-	run("serve", func() (interface{ Render() string }, error) {
-		window := 600 * time.Millisecond
-		if *full {
-			window = 5 * time.Second
-		}
-		return serveload.ServeLoad(ctx, nil, window)
-	})
-	if skipped {
-		fmt.Fprintf(os.Stderr, "experiments: cancelled (%v); completed experiments above\n", context.Cause(ctx))
-		os.Exit(130)
-	}
-}
-
-// parseWorkers turns "1,2,4" into worker counts; empty means the default
-// sweep.
-func parseWorkers(s string) []int { return parseCounts("workers", s) }
-
-// parseCounts turns "1,2,4" into positive counts; empty means the default
-// sweep. Invalid input is fatal rather than skipped so a recorded sweep
-// never silently differs from the one requested.
-func parseCounts(flagName, s string) []int {
-	if s == "" {
-		return nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w <= 0 {
-			fmt.Fprintf(os.Stderr, "experiments: invalid -%s entry %q (want positive integers, e.g. 1,2,4)\n", flagName, part)
-			os.Exit(2)
-		}
-		out = append(out, w)
-	}
-	return out
 }

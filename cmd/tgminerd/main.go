@@ -57,6 +57,16 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// line and headers. Without it, a connection that never finishes them is
+// held open forever.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run(addr string, shards, compactEvery, maxQueries int, queryTimeout time.Duration,
 	cacheEntries int, wm serve.Watermarks, grace time.Duration) error {
 	if p := wm.HardPolicy; p != "reject" && p != "evict" {
@@ -74,7 +84,7 @@ func run(addr string, shards, compactEvery, maxQueries int, queryTimeout time.Du
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	log.Printf("tgminerd: %d shard(s), serving on http://%s", eng.Shards(), ln.Addr())
 
 	// SIGINT and SIGTERM take the same cooperative path (cmdutil): stop

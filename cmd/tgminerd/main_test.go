@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -218,5 +220,40 @@ func TestTGMinerdSmoke(t *testing.T) {
 	}
 	if !strings.Contains(logText(), "drained") {
 		t.Fatalf("no drain log line after SIGTERM; logs:\n%s", logText())
+	}
+}
+
+// TestSlowHeadersClosed opens a connection, sends half a request line and
+// then nothing: the daemon's server must drop it once readHeaderTimeout
+// passes rather than hold it forever.
+func TestSlowHeadersClosed(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.NotFoundHandler())
+	served := make(chan struct{})
+	go func() { defer close(served); hs.Serve(ln) }()
+	defer func() { hs.Close(); <-served }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/sta")); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 5 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %s after an incomplete request line: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %s, before the header timeout %s", d, readHeaderTimeout)
 	}
 }

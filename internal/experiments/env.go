@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the TGMiner
 // paper's evaluation (Section 6) on the synthetic corpus of
 // internal/sysgen. Each driver returns typed rows and renders a paper-style
-// text table; cmd/experiments runs them all, and bench_test.go exposes one
-// benchmark per table/figure.
+// text table; cmd/experiments runs them all, and experiments_test.go runs
+// each one at a reduced scale.
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data, scaled sizes); the drivers embed the paper's reported values where

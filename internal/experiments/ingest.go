@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,9 +15,8 @@ import (
 // one writer goroutine per shard appending events whose source entities
 // hash to that shard (the intended deployment: one producer per entity
 // partition, e.g. per monitored host). Not a paper exhibit — the paper's
-// engine was offline — but BenchmarkShardedAppend's interactive
-// form: same workload, sweeping LiveOptions.Shards the way the parallel
-// exhibit sweeps MineOptions.Parallelism.
+// engine was offline — but tgbench's multi-writer probe, which reports
+// search.append_writers_speedup from Rate.
 type ShardedIngestResult struct {
 	Shards          []int
 	EventsPerWriter int
@@ -28,7 +26,6 @@ type ShardedIngestResult struct {
 	Rate      []float64
 	LiveEdges []int
 	Matches   []int
-	Cores     int
 }
 
 // shardedIngestSources picks one source node per shard by probing
@@ -67,7 +64,6 @@ func ShardedIngest(ctx context.Context, shardCounts []int, eventsPerWriter int) 
 	out := &ShardedIngestResult{
 		Shards:          shardCounts,
 		EventsPerWriter: eventsPerWriter,
-		Cores:           runtime.GOMAXPROCS(0),
 	}
 	p, err := tgraph.NewPattern([]tgraph.Label{0, 1}, []tgraph.PEdge{{Src: 0, Dst: 1}})
 	if err != nil {
@@ -123,22 +119,4 @@ func ShardedIngest(ctx context.Context, shardCounts []int, eventsPerWriter int) 
 		out.Matches = append(out.Matches, len(res.Matches))
 	}
 	return out, nil
-}
-
-// Render prints the shard sweep with aggregate throughput and speedup.
-func (r *ShardedIngestResult) Render() string {
-	t := &Table{
-		Title:   "Sharded ingestion: aggregate multi-writer append throughput by shard count",
-		Headers: []string{"Shards", "Events", "Wall", "Events/s", "Speedup"},
-	}
-	for i, s := range r.Shards {
-		rel := "-"
-		if i < len(r.Rate) && len(r.Rate) > 0 && r.Rate[0] > 0 {
-			rel = ratio(r.Rate[i], r.Rate[0])
-		}
-		t.AddRow(intStr(s), intStr(s*r.EventsPerWriter), secs(r.Seconds[i]),
-			fmt.Sprintf("%.0f", r.Rate[i]), rel)
-	}
-	t.AddNote("queries answer identically at every shard count (differential-tested); speedup tracks available cores (%d here) — on one core the sweep measures sharding overhead only", r.Cores)
-	return t.String()
 }

@@ -46,16 +46,13 @@ func behaviorsInClass(env *Env, class string) []string {
 }
 
 // mineBehavior runs one mining configuration on one behavior and returns
-// the elapsed wall time and stats. Unless the caller explicitly sets
-// Parallelism, the run is pinned to one worker: the paper exhibits time and
-// count a single-threaded search, and letting GOMAXPROCS leak in would mix
-// core-count scaling into numbers meant to reproduce it (ParallelScaling is
-// the exhibit that sweeps workers on purpose).
+// the elapsed wall time and stats. The run is pinned to one worker: the
+// paper exhibits time and count a single-threaded search, and letting
+// GOMAXPROCS leak in would mix core-count scaling into numbers meant to
+// reproduce it.
 func mineBehavior(ctx context.Context, env *Env, behavior string, opts miner.Options, maxEdges int) (time.Duration, miner.Stats, error) {
 	opts.MaxEdges = maxEdges
-	if opts.Parallelism == 0 {
-		opts.Parallelism = 1
-	}
+	opts.Parallelism = 1
 	pos := env.Data.ByName(behavior)
 	start := time.Now()
 	res, err := miner.MineContext(ctx, pos, env.Data.Background, opts)
@@ -341,74 +338,6 @@ func Figure16(ctx context.Context, env *Env, factors []int) (*Figure16Result, er
 		}
 	}
 	return out, nil
-}
-
-// ParallelResult measures Mine's seed-level parallel scaling. Not a paper
-// exhibit — the paper's implementation was single-threaded — but the
-// methodology point for BENCH_*.json trajectories: same workload, sweeping
-// Options.Parallelism.
-type ParallelResult struct {
-	Workers []int
-	// Seconds[class] is parallel to Workers: total mining time over the
-	// class's behaviors at that worker count.
-	Seconds map[string][]float64
-	Scale   Scale
-}
-
-// ParallelScaling times the full TGMiner configuration per size class at
-// each worker count (default 1, 2, 4, 8). The result is deterministic at one
-// worker; with several, TGMiner's tie count can differ between runs because
-// subgraph pruning is not yet sound under the MaxEdges cap, so only the
-// wall clock is compared.
-func ParallelScaling(ctx context.Context, env *Env, workers []int) (*ParallelResult, error) {
-	if len(workers) == 0 {
-		workers = []int{1, 2, 4, 8}
-	}
-	out := &ParallelResult{Workers: workers, Seconds: map[string][]float64{}, Scale: env.Scale}
-	for _, class := range SizeClasses {
-		behaviors := behaviorsInClass(env, class)
-		for _, w := range workers {
-			var total time.Duration
-			for _, name := range behaviors {
-				opts := miner.TGMinerOptions()
-				opts.Parallelism = w
-				d, _, err := mineBehavior(ctx, env, name, opts, env.Scale.MaxPatternEdges)
-				if err != nil {
-					return nil, fmt.Errorf("parallel %s x%d: %w", name, w, err)
-				}
-				total += d
-			}
-			out.Seconds[class] = append(out.Seconds[class], total.Seconds())
-		}
-	}
-	return out, nil
-}
-
-// Render prints the worker sweep with speedup vs one worker.
-func (r *ParallelResult) Render() string {
-	t := &Table{
-		Title:   "Parallel scaling: TGMiner mining time by worker count",
-		Headers: []string{"Workers", "Small", "Medium", "Large", "Speedup(small)"},
-	}
-	for i, w := range r.Workers {
-		rel := "-"
-		if base := secAtF(r.Seconds["small"], 0); base > 0 {
-			if cur := secAtF(r.Seconds["small"], i); cur > 0 {
-				rel = ratio(base, cur)
-			}
-		}
-		t.AddRow(intStr(w),
-			secAt(r.Seconds["small"], i), secAt(r.Seconds["medium"], i), secAt(r.Seconds["large"], i), rel)
-	}
-	t.AddNote("deterministic at 1 worker; with more, TGMiner's tie count can vary between runs; speedup tracks available cores")
-	return t.String()
-}
-
-func secAtF(xs []float64, i int) float64 {
-	if i >= len(xs) {
-		return 0
-	}
-	return xs[i]
 }
 
 func replicate(graphs []*tgraph.Graph, k int) []*tgraph.Graph {
