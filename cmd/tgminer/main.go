@@ -21,7 +21,7 @@ func main() {
 	negPath := flag.String("neg", "", "negative (background) dataset file")
 	size := flag.Int("size", 6, "behavior query size in edges")
 	top := flag.Int("top", 5, "number of queries to print")
-	algo := flag.String("algo", "tgminer", "algorithm: tgminer, subprune, supprune, prunegi, prunevf2, linearscan, exhaustive")
+	algo := flag.String("algo", "exhaustive", "algorithm: exhaustive (upper bound only; the complete tie set at any worker count), or one of the paper's registry variants tgminer, subprune, supprune, prunegi, prunevf2, linearscan (may miss ties; deterministic at one worker only)")
 	scoreName := flag.String("score", "log-ratio", "score function: log-ratio, g-test, info-gain")
 	stats := flag.Bool("stats", false, "print mining statistics")
 	flag.Parse()

@@ -26,7 +26,9 @@ type QueryConfig struct {
 	// TopK is the number of queries built from the tied best patterns
 	// (default 5, per Appendix M).
 	TopK int
-	// Miner configures the mining algorithm (default TGMinerOptions).
+	// Miner configures the mining algorithm (default ExhaustiveOptions: the
+	// upper bound alone, which returns the complete tie set at every worker
+	// count).
 	Miner *miner.Options
 	// Interest ranks tied patterns; required for deterministic top-k
 	// selection. If nil, ranking falls back to pattern keys.
@@ -41,7 +43,7 @@ func (c QueryConfig) normalize() QueryConfig {
 		c.TopK = 5
 	}
 	if c.Miner == nil {
-		o := miner.TGMinerOptions()
+		o := miner.ExhaustiveOptions()
 		c.Miner = &o
 	}
 	return c
@@ -101,22 +103,11 @@ func buildQueries(res *miner.Result, cfg QueryConfig) *BehaviorQueries {
 	if cfg.Interest != nil {
 		top = cfg.Interest.TopK(cands, cfg.TopK)
 	} else {
-		top = topByKey(cands, cfg.TopK)
+		// res.Best is sorted by canonical key and cands keeps its order, so
+		// the k smallest keys come first.
+		top = cands[:min(cfg.TopK, len(cands))]
 	}
 	return &BehaviorQueries{Queries: top, BestScore: res.BestScore, Mining: res}
-}
-
-func topByKey(cands []*tgraph.Pattern, k int) []*tgraph.Pattern {
-	sorted := append([]*tgraph.Pattern(nil), cands...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Key() < sorted[j-1].Key(); j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
 }
 
 // NonTemporalQueries is the Ntemp pipeline outcome.

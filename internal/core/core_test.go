@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tgminer/internal/miner"
@@ -167,5 +168,35 @@ func TestDiscoverQueriesNoInterestFallback(t *testing.T) {
 	}
 	if len(bq.Queries) == 0 {
 		t.Errorf("no queries without interest ranking")
+	}
+}
+
+// TestNoInterestTakesSmallestKeys pins the ranking without Interest: the
+// queries are the first k candidates (the ties of exactly QuerySize edges)
+// in canonical key order.
+func TestNoInterestTakesSmallestKeys(t *testing.T) {
+	fx := newFixture(t, []string{"gzip-decompress"})
+	pos := fx.ds.ByName("gzip-decompress")
+	const size, k = 3, 3
+	bq, err := DiscoverQueries(pos, fx.ds.Background, QueryConfig{QuerySize: size, TopK: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []string
+	for _, sp := range bq.Mining.Best {
+		if sp.Pattern.NumEdges() == size {
+			cands = append(cands, sp.Pattern.Key())
+		}
+	}
+	if len(cands) <= k {
+		t.Fatalf("%d candidates of %d edges; the test needs more than %d", len(cands), size, k)
+	}
+	slices.Sort(cands)
+	got := make([]string, len(bq.Queries))
+	for i, q := range bq.Queries {
+		got[i] = q.Key()
+	}
+	if !slices.Equal(got, cands[:k]) {
+		t.Errorf("queries %q, want the %d smallest candidate keys %q", got, k, cands[:k])
 	}
 }

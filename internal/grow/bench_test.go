@@ -91,12 +91,21 @@ func BenchmarkChildren(b *testing.B) {
 	}
 }
 
+// BenchmarkSeeds collects the seeds of one behaviour against a background
+// set, so both the positive collection and the negative scan are timed.
 func BenchmarkSeeds(b *testing.B) {
-	graphs, _, _, _ := benchWorkload(b)
+	ds := sysgen.Generate(sysgen.Config{
+		Scale:             0.5,
+		GraphsPerBehavior: 30,
+		BackgroundGraphs:  200,
+		Seed:              7,
+		Behaviors:         []string{"sshd-login"},
+	})
+	pos, neg := ds.Behaviors[0].Graphs, ds.Background
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := Seeds(graphs, nil); len(out) == 0 {
+		if out := Seeds(pos, neg); len(out) == 0 {
 			b.Fatal("no seeds")
 		}
 	}

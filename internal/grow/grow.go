@@ -183,61 +183,79 @@ func (l List) SupportGraphs(buf []int32) []int32 {
 // destination label, self-loop).
 func Seeds(pos, neg []*tgraph.Graph) []Seed {
 	var arena nodeArena
-	posEmb := make(map[SeedKey]List)
+	at := make(map[uint64]int32) // seedKey -> ordinal in lists, then in the output
+	var keys []uint64
+	var lists []List
 	for gi, g := range pos {
-		collectSeeds(posEmb, nil, g, int32(gi), &arena)
+		for p, e := range g.Edges() {
+			k := seedKey(g.LabelOf(e.Src), g.LabelOf(e.Dst), e.Src == e.Dst)
+			i, ok := at[k]
+			if !ok {
+				i = int32(len(keys))
+				at[k] = i
+				keys = append(keys, k)
+				lists = append(lists, nil)
+			}
+			lists[i] = append(lists[i], seedEmbedding(e, int32(gi), int32(p), &arena))
+		}
 	}
+
+	slices.Sort(keys)
+	out := make([]Seed, len(keys))
+	// srcSeen[l] reports whether some positive seed starts at label l, so
+	// most background edges are rejected by one slice load, before any hash.
+	var srcSeen []bool
+	if len(keys) > 0 {
+		srcSeen = make([]bool, keys[len(keys)-1]>>33+1)
+	}
+	for r, k := range keys {
+		src, dst, loop := tgraph.Label(k>>33), tgraph.Label(uint32(k>>1)), k&1 == 1
+		out[r] = Seed{Pattern: tgraph.SingleEdgePattern(src, dst, loop), Pos: lists[at[k]]}
+		at[k] = int32(r)
+		srcSeen[src] = true
+	}
+
 	// Only seeds that exist positively matter on the negative side.
-	negEmb := make(map[SeedKey]List)
 	for gi, g := range neg {
-		collectSeeds(negEmb, posEmb, g, int32(gi), &arena)
-	}
-	keys := make([]SeedKey, 0, len(posEmb))
-	for k := range posEmb {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
+		for p, e := range g.Edges() {
+			src := g.LabelOf(e.Src)
+			if uint32(src) >= uint32(len(srcSeen)) || !srcSeen[src] {
+				continue
+			}
+			r, ok := at[seedKey(src, g.LabelOf(e.Dst), e.Src == e.Dst)]
+			if !ok {
+				continue
+			}
+			out[r].Neg = append(out[r].Neg, seedEmbedding(e, int32(gi), int32(p), &arena))
 		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return !a.Loop && b.Loop
-	})
-	out := make([]Seed, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Seed{
-			Pattern: tgraph.SingleEdgePattern(k.Src, k.Dst, k.Loop),
-			Pos:     posEmb[k],
-			Neg:     negEmb[k],
-		})
 	}
 	return out
 }
 
-// collectSeeds appends the one-edge embedding of every edge of g to its
-// key's list in into, skipping keys absent from only when only is non-nil.
-// Node slices are carved out of arena, and only for kept edges.
-func collectSeeds(into, only map[SeedKey]List, g *tgraph.Graph, gid int32, arena *nodeArena) {
-	for pos, e := range g.Edges() {
-		k := SeedKey{Src: g.LabelOf(e.Src), Dst: g.LabelOf(e.Dst), Loop: e.Src == e.Dst}
-		if only != nil {
-			if _, ok := only[k]; !ok {
-				continue
-			}
-		}
-		var nodes []tgraph.NodeID
-		if k.Loop {
-			nodes = arena.alloc(1)
-			nodes[0] = e.Src
-		} else {
-			nodes = arena.alloc(2)
-			nodes[0], nodes[1] = e.Src, e.Dst
-		}
-		into[k] = append(into[k], Embedding{GraphID: gid, LastPos: int32(pos), Nodes: nodes})
+// seedKey packs a one-edge pattern into one word whose numeric order is the
+// order Seeds returns: source label, then destination label, then plain
+// edge before self loop. Labels are non-negative int32 (Dict ordinals), so
+// each fits in 31 bits and the packing is injective.
+func seedKey(src, dst tgraph.Label, loop bool) uint64 {
+	k := uint64(src)<<33 | uint64(dst)<<1
+	if loop {
+		k |= 1
 	}
+	return k
+}
+
+// seedEmbedding is the one-edge embedding of edge e at position pos of
+// graph gid, its node slice carved out of arena.
+func seedEmbedding(e tgraph.Edge, gid, pos int32, arena *nodeArena) Embedding {
+	var nodes []tgraph.NodeID
+	if e.Src == e.Dst {
+		nodes = arena.alloc(1)
+		nodes[0] = e.Src
+	} else {
+		nodes = arena.alloc(2)
+		nodes[0], nodes[1] = e.Src, e.Dst
+	}
+	return Embedding{GraphID: gid, LastPos: pos, Nodes: nodes}
 }
 
 // nodeArenaChunk is the number of NodeIDs handed out per arena chunk. Large
@@ -290,7 +308,7 @@ type extScratch struct {
 	hits  []hit            // Children's child embeddings, in scan order
 	exts  []Ext            // Children's extensions, by bucket
 	count []int32          // Children's list length by bucket, then the bucket's output index
-	order []int32          // Children's buckets in Less order
+	keys  []uint64         // the buckets' keys, sorted into Less order
 }
 
 // hit is one child embedding as Children records it before the lists are
@@ -307,6 +325,11 @@ var extScratchPool = sync.Pool{
 // key packs the two fields that identify an extension of its kind into one
 // word, so the per-edge bucket lookup hashes 8 bytes instead of the 16-byte
 // struct. Pattern node ordinals are far below 2^30, so kinds cannot collide.
+//
+// The numeric order of keys is the compare order. Within one kind one of
+// Src, Dst and NewLabel is always -1, and the key holds the other two in
+// compare's order of precedence; node ordinals and labels are non-negative
+// int32, so their uint32 images order as they do.
 func (x Ext) key() uint64 {
 	var a, b int32
 	switch x.Kind {
@@ -375,15 +398,21 @@ func (s *extScratch) scan(graphs []*tgraph.Graph, l List, visit func(i int, x Ex
 func Extensions(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) []Ext {
 	s := extScratchPool.Get().(*extScratch)
 	clear(s.index)
-	var out []Ext
+	s.exts, s.keys = s.exts[:0], s.keys[:0]
 	s.scan(graphs, l, func(_ int, x Ext, _ int32, _ tgraph.NodeID) {
-		if _, ok := s.index[x.key()]; !ok {
-			s.index[x.key()] = int32(len(out))
-			out = append(out, x)
+		k := x.key()
+		if _, ok := s.index[k]; !ok {
+			s.index[k] = int32(len(s.exts))
+			s.exts = append(s.exts, x)
+			s.keys = append(s.keys, k)
 		}
 	})
+	slices.Sort(s.keys)
+	out := make([]Ext, len(s.keys))
+	for i, k := range s.keys {
+		out[i] = s.exts[s.index[k]]
+	}
 	extScratchPool.Put(s)
-	slices.SortFunc(out, Ext.compare)
 	return out
 }
 
@@ -399,24 +428,27 @@ func Extensions(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) []Ext {
 func Children(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) ([]Ext, []List) {
 	s := extScratchPool.Get().(*extScratch)
 	clear(s.index)
-	s.hits, s.exts, s.count, s.order = s.hits[:0], s.exts[:0], s.count[:0], s.order[:0]
+	s.hits, s.exts, s.count, s.keys = s.hits[:0], s.exts[:0], s.count[:0], s.keys[:0]
 	s.scan(graphs, l, func(i int, x Ext, pos int32, added tgraph.NodeID) {
-		b, ok := s.index[x.key()]
+		k := x.key()
+		b, ok := s.index[k]
 		if !ok {
 			b = int32(len(s.exts))
-			s.index[x.key()] = b
+			s.index[k] = b
 			s.exts = append(s.exts, x)
 			s.count = append(s.count, 0)
-			s.order = append(s.order, b)
+			s.keys = append(s.keys, k)
 		}
 		s.count[b]++
 		s.hits = append(s.hits, hit{bucket: b, parent: int32(i), pos: pos, added: added})
 	})
 
-	// Lay the buckets out in Less order, each list at its exact length.
-	slices.SortFunc(s.order, func(a, b int32) int { return s.exts[a].compare(s.exts[b]) })
-	exts, lists := make([]Ext, len(s.order)), make([]List, len(s.order))
-	for i, b := range s.order {
+	// Lay the buckets out in Less order (the keys' order), each list at its
+	// exact length.
+	slices.Sort(s.keys)
+	exts, lists := make([]Ext, len(s.keys)), make([]List, len(s.keys))
+	for i, k := range s.keys {
+		b := s.index[k]
 		exts[i], lists[i] = s.exts[b], make(List, 0, s.count[b])
 		s.count[b] = int32(i)
 	}

@@ -1,6 +1,7 @@
 package grow
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -432,5 +433,134 @@ func TestChildrenMatchesExtendSysgen(t *testing.T) {
 	for _, bd := range ds.Behaviors {
 		n := walkChildren(t, bd.Graphs, 2)
 		t.Logf("%s: %d patterns checked", bd.Spec.Name, n)
+	}
+}
+
+// referenceSeeds is Seeds without its filters and packed keys: every edge
+// of both sets is grouped under its SeedKey, and the seeds are the positive
+// keys in (source, destination, plain before loop) order, each with every
+// negative embedding under the same key.
+func referenceSeeds(pos, neg []*tgraph.Graph) []Seed {
+	group := func(graphs []*tgraph.Graph) map[SeedKey]List {
+		m := map[SeedKey]List{}
+		for gi, g := range graphs {
+			for p, e := range g.Edges() {
+				k := SeedKey{Src: g.LabelOf(e.Src), Dst: g.LabelOf(e.Dst), Loop: e.Src == e.Dst}
+				nodes := []tgraph.NodeID{e.Src, e.Dst}
+				if k.Loop {
+					nodes = nodes[:1]
+				}
+				m[k] = append(m[k], Embedding{GraphID: int32(gi), LastPos: int32(p), Nodes: nodes})
+			}
+		}
+		return m
+	}
+	posEmb, negEmb := group(pos), group(neg)
+	var keys []SeedKey
+	for k := range posEmb {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b SeedKey) int {
+		switch {
+		case a.Src != b.Src:
+			return cmp.Compare(a.Src, b.Src)
+		case a.Dst != b.Dst:
+			return cmp.Compare(a.Dst, b.Dst)
+		case a.Loop == b.Loop:
+			return 0
+		case b.Loop:
+			return -1
+		}
+		return 1
+	})
+	out := make([]Seed, len(keys))
+	for i, k := range keys {
+		out[i] = Seed{Pattern: tgraph.SingleEdgePattern(k.Src, k.Dst, k.Loop), Pos: posEmb[k], Neg: negEmb[k]}
+	}
+	return out
+}
+
+func sameList(a, b List) bool {
+	return slices.EqualFunc(a, b, func(x, y Embedding) bool {
+		return x.GraphID == y.GraphID && x.LastPos == y.LastPos && slices.Equal(x.Nodes, y.Nodes)
+	})
+}
+
+// TestSeedsMatchesReference pins Seeds to referenceSeeds on random graphs.
+// Positive labels come from [0, 4) and negative ones from [0, 8), so the
+// background holds labels no positive graph has, larger than any positive
+// label; randomGraph draws self loops; every third case has no background.
+func TestSeedsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		var pos, neg []*tgraph.Graph
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			pos = append(pos, randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(12), 4))
+		}
+		if trial%3 != 0 {
+			for i := 1 + rng.Intn(6); i > 0; i-- {
+				neg = append(neg, randomGraph(rng, 2+rng.Intn(6), 1+rng.Intn(16), 8))
+			}
+		}
+		got, want := Seeds(pos, neg), referenceSeeds(pos, neg)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d seeds, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Pattern.Key() != want[i].Pattern.Key() {
+				t.Fatalf("trial %d seed %d: pattern %s, want %s", trial, i, got[i].Pattern.Key(), want[i].Pattern.Key())
+			}
+			if !sameList(got[i].Pos, want[i].Pos) || !sameList(got[i].Neg, want[i].Neg) {
+				t.Fatalf("trial %d seed %s: lists differ\npos %v\nwant %v\nneg %v\nwant %v", trial,
+					want[i].Pattern.Key(), got[i].Pos, want[i].Pos, got[i].Neg, want[i].Neg)
+			}
+		}
+	}
+}
+
+// TestExtKeyOrderMatchesCompare checks the invariant Extensions and
+// Children sort by: on extensions as scan builds them (one of Src, Dst and
+// NewLabel is -1, the rest non-negative), the numeric order of key() is
+// compare's order, and key() is injective.
+func TestExtKeyOrderMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// Small ranges force ties on leading fields; the large ones reach the
+	// top bits of each packed half.
+	node := func() tgraph.NodeID {
+		if rng.Intn(4) == 0 {
+			return tgraph.NodeID(rng.Int31n(1 << 30))
+		}
+		return tgraph.NodeID(rng.Intn(4))
+	}
+	label := func() tgraph.Label {
+		if rng.Intn(4) == 0 {
+			return tgraph.Label(rng.Int31())
+		}
+		return tgraph.Label(rng.Intn(4))
+	}
+	for trial := 0; trial < 500; trial++ {
+		exts := make([]Ext, 1+rng.Intn(40))
+		for i := range exts {
+			switch kind := tgraph.GrowthKind(rng.Intn(3)); kind {
+			case tgraph.Forward:
+				exts[i] = Ext{Kind: kind, Src: node(), Dst: -1, NewLabel: label()}
+			case tgraph.Backward:
+				exts[i] = Ext{Kind: kind, Src: -1, Dst: node(), NewLabel: label()}
+			default:
+				exts[i] = Ext{Kind: kind, Src: node(), Dst: node(), NewLabel: -1}
+			}
+		}
+		byKey := slices.Clone(exts)
+		slices.SortFunc(byKey, func(a, b Ext) int { return cmp.Compare(a.key(), b.key()) })
+		slices.SortFunc(exts, Ext.compare)
+		if !slices.Equal(byKey, exts) {
+			t.Fatalf("trial %d: key order %v, compare order %v", trial, byKey, exts)
+		}
+		for i := 1; i < len(exts); i++ {
+			if (exts[i] == exts[i-1]) != (exts[i].key() == exts[i-1].key()) {
+				t.Fatalf("trial %d: %v and %v: equal %v, equal keys %v", trial, exts[i-1], exts[i],
+					exts[i] == exts[i-1], exts[i].key() == exts[i-1].key())
+			}
+		}
 	}
 }

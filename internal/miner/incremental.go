@@ -124,11 +124,12 @@ type seedCache struct {
 // model. Options are fixed at construction (changing them would invalidate
 // every cached outcome). Methods are safe for concurrent use but runs are
 // serialized; the worker pool inside a single run still parallelizes per
-// Options.Parallelism. At one worker, results are byte-identical (Best,
-// BestScore, TieCount) to a cold MineContext on the same data; only Stats
-// counters differ. With several workers the registry variants' ties can
-// differ between runs, cold or warm, because subgraph pruning (Lemma 4) is
-// not yet sound under the MaxEdges cap.
+// Options.Parallelism. Results are byte-identical (Best, BestScore,
+// TieCount) to a cold MineContext on the same data, at every worker count
+// under ExhaustiveOptions and at one worker under a registry variant; only
+// Stats counters differ. With several workers the registry variants' ties
+// can differ between runs, cold or warm, because subgraph pruning (Lemma 4)
+// is not yet sound under the MaxEdges cap.
 type Session struct {
 	mu   sync.Mutex
 	opts Options

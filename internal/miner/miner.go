@@ -17,19 +17,22 @@
 // SubgraphTester (sequence tests, modified VF2, or graph-index join).
 //
 // Mining parallelizes at the seed level (Options.Parallelism): a worker pool
-// shares F* and the pruning registry. The result is deterministic at one
-// worker. With several workers the registry variants' tie count can differ
-// between runs, because subgraph pruning (Lemma 4) is not yet sound under the
-// MaxEdges cap and which registry entries exist when a branch is tested
-// depends on timing.
+// shares F* and the pruning registry. ExhaustiveOptions, the facade's
+// default, gives the same result at every worker count. The registry
+// variants are deterministic at one worker only: with several, their tie
+// count can differ between runs, because subgraph pruning (Lemma 4) is not
+// yet sound under the MaxEdges cap and which registry entries exist when a
+// branch is tested depends on timing.
 package miner
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,10 +93,11 @@ type Options struct {
 	MaxRegistry int
 	// Parallelism is the number of workers mining seeds concurrently
 	// (default runtime.GOMAXPROCS(0); 1 forces the classic sequential
-	// search). One worker gives a deterministic result. Several workers
-	// can return a different TieCount and best set from run to run when a
-	// registry pruning is on, until subgraph pruning is sound under the
-	// MaxEdges cap; Stats counters always depend on how often pruning fires.
+	// search). With neither registry pruning on, the result is the same at
+	// every worker count. Otherwise only one worker gives a deterministic
+	// result: several can return a different TieCount and best set from run
+	// to run, until subgraph pruning is sound under the MaxEdges cap. Stats
+	// counters always depend on how often pruning fires.
 	Parallelism int
 }
 
@@ -133,6 +137,8 @@ func LinearScanOptions() Options {
 
 // ExhaustiveOptions applies only the naive upper-bound pruning of
 // Section 4.1 (the unnamed exhaustive strawman the paper motivates against).
+// It is the facade's and core's default: it returns the complete tie set,
+// and on sysgen corpora it is faster than the registry variants.
 func ExhaustiveOptions() Options {
 	return Options{}
 }
@@ -277,14 +283,21 @@ func inf() float64 { return -1e308 }
 // [30]. Ordering only affects speed: the searched-or-pruned set of
 // maximum-score patterns is unchanged.
 func sortedSeeds(pos, neg []*tgraph.Graph) []grow.Seed {
+	type ranked struct {
+		seed     grow.Seed
+		pos, neg int
+	}
 	seeds := grow.Seeds(pos, neg)
-	sort.SliceStable(seeds, func(i, j int) bool {
-		pi, pj := seeds[i].Pos.SupportCount(), seeds[j].Pos.SupportCount()
-		if pi != pj {
-			return pi > pj
-		}
-		return seeds[i].Neg.SupportCount() < seeds[j].Neg.SupportCount()
+	rs := make([]ranked, len(seeds))
+	for i, s := range seeds {
+		rs[i] = ranked{seed: s, pos: s.Pos.SupportCount(), neg: s.Neg.SupportCount()}
+	}
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.pos, a.pos), cmp.Compare(a.neg, b.neg))
 	})
+	for i := range rs {
+		seeds[i] = rs[i].seed
+	}
 	return seeds
 }
 

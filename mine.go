@@ -17,8 +17,11 @@ import (
 // Algorithm selects a mining algorithm variant (Section 6.1 of the paper).
 type Algorithm string
 
-// Mining algorithm variants. TGMiner is the full algorithm; the others are
-// the paper's efficiency baselines, exposed for ablation studies.
+// Mining algorithm variants. TGMiner is the paper's full algorithm and the
+// others its efficiency baselines, exposed for ablation studies. Exhaustive,
+// upper-bound pruning only, is the default: it returns the complete tie set
+// at every worker count, which the registry variants do not yet (subgraph
+// pruning is unsound under the MaxEdges cap).
 const (
 	AlgoTGMiner    Algorithm = "tgminer"
 	AlgoSubPrune   Algorithm = "subprune"
@@ -31,7 +34,7 @@ const (
 
 func (a Algorithm) options() (miner.Options, error) {
 	switch a {
-	case AlgoTGMiner, "":
+	case AlgoTGMiner:
 		return miner.TGMinerOptions(), nil
 	case AlgoSubPrune:
 		return miner.SubPruneOptions(), nil
@@ -43,7 +46,7 @@ func (a Algorithm) options() (miner.Options, error) {
 		return miner.PruneVF2Options(), nil
 	case AlgoLinearScan:
 		return miner.LinearScanOptions(), nil
-	case AlgoExhaustive:
+	case AlgoExhaustive, "":
 		return miner.ExhaustiveOptions(), nil
 	default:
 		return miner.Options{}, fmt.Errorf("tgminer: unknown algorithm %q", a)
@@ -52,7 +55,11 @@ func (a Algorithm) options() (miner.Options, error) {
 
 // MineOptions configures Mine.
 type MineOptions struct {
-	// Algorithm selects the variant (default AlgoTGMiner).
+	// Algorithm selects the variant (default AlgoExhaustive, the naive
+	// upper bound of Section 4.1 alone). The default returns every
+	// maximum-score pattern; AlgoTGMiner and the other registry variants can
+	// miss some, because subgraph pruning is not yet sound under the
+	// MaxEdges cap.
 	Algorithm Algorithm
 	// ScoreFunc names the discriminative score function: "log-ratio"
 	// (default), "g-test", or "info-gain".
@@ -64,12 +71,12 @@ type MineOptions struct {
 	// keys are kept, so the retained subset is deterministic.
 	MaxResults int
 	// Parallelism is the number of workers mining seeds concurrently
-	// (default runtime.GOMAXPROCS(0); 1 forces the sequential search). One
-	// worker gives a deterministic result. With several workers the
-	// registry variants (every algorithm but AlgoExhaustive) can return a
-	// different TieCount and best set from run to run, because subgraph
-	// pruning is not yet sound under the MaxEdges cap; Stats counters can
-	// vary for every algorithm.
+	// (default runtime.GOMAXPROCS(0); 1 forces the sequential search). The
+	// default algorithm returns the same BestScore, TieCount and Best at
+	// every worker count. The registry variants (every algorithm but
+	// AlgoExhaustive) are deterministic only at one worker: with several
+	// they can return a different TieCount and best set from run to run.
+	// Stats counters can vary with the worker count for every algorithm.
 	Parallelism int
 }
 
@@ -198,8 +205,9 @@ type DriftAlert struct {
 // threshold stays a valid lower bound of the true F* and can only
 // under-prune. At one worker, results are byte-identical (Best, BestScore,
 // TieCount) to a cold Mine over the same data; only Stats counters differ.
-// With several workers the registry variants' ties can differ from run to
-// run (see MineOptions.Parallelism). See
+// Under the default algorithm that holds at every worker count; with several
+// workers the registry variants' ties can differ from run to run (see
+// MineOptions.Parallelism). See
 // internal/miner's incremental documentation for the full invalidation
 // model and its proof obligations.
 //
@@ -384,14 +392,16 @@ type QueryOptions struct {
 	QuerySize int
 	// TopK is the number of queries returned (default 5).
 	TopK int
-	// Algorithm selects the mining variant (default AlgoTGMiner).
+	// Algorithm selects the mining variant (default AlgoExhaustive; see
+	// MineOptions.Algorithm).
 	Algorithm Algorithm
 	// Interest ranks tied patterns; optional.
 	Interest *Interest
 	// Parallelism is the number of mining workers (default
-	// runtime.GOMAXPROCS(0)). One worker gives a deterministic result; with
-	// several, the registry variants' tie sets, and so the ranked queries,
-	// can differ from run to run (see MineOptions.Parallelism).
+	// runtime.GOMAXPROCS(0)). The default algorithm gives the same queries
+	// at every worker count. The registry variants are deterministic only
+	// at one worker; with several, their tie sets, and so the ranked
+	// queries, can differ from run to run (see MineOptions.Parallelism).
 	Parallelism int
 }
 
