@@ -5,14 +5,16 @@ package miner
 // per-seed exploration outcomes and re-exploring only the seeds whose
 // supporting data changed.
 //
+// Like MineTopK, a Session ignores the registry prunings (Lemma 4 and
+// Proposition 2) and returns the complete tie set at every worker count.
+//
 // # Invalidation model
 //
 // A seed's entire DFS subtree is a pure function of (a) the content of the
 // graphs supporting it, (b) its positive/negative embedding lists, and
 // (c) the frequency denominators len(pos) and len(neg): consecutive growth
-// only extends occurrences within supporting graphs, and every frequency,
-// residual set, and residual integer in the subtree reads only those
-// graphs. A cached seed is therefore *clean* — its cached outcome replayed
+// only extends occurrences within supporting graphs, and every frequency
+// in the subtree reads only those graphs. A cached seed is therefore *clean* — its cached outcome replayed
 // without exploration — iff its embedding-list fingerprints match the
 // previous run and every supporting graph is unchanged (pointer-identical
 // or tgraph.Stamp-equal) since the previous run. Any change to the
@@ -20,11 +22,11 @@ package miner
 //
 // # What a cached outcome can and cannot assert
 //
-// Exploration under upper-bound/subgraph/supergraph pruning visits only
-// part of a subtree; the cached best is the maximum over *visited*
-// patterns. Branches hidden by F*-dependent prunes are bounded by the
-// exploring run's final F* (prunes fire against a running F* that never
-// exceeds the final one), recorded as hiddenBelow. The pruned flag records
+// Exploration under upper-bound pruning visits only part of a subtree; the
+// cached best is the maximum over *visited* patterns. Branches hidden by the
+// upper bound are bounded by the exploring run's final F* (prunes fire
+// against a running F* that never exceeds the final one), recorded as
+// hiddenBelow. The pruned flag records
 // whether any such hidden branch exists; when it is false the subtree was
 // searched exhaustively (the structural MaxEdges cut is F*-independent)
 // and the cached best, tie set, and tie count are exact.
@@ -57,18 +59,6 @@ package miner
 // the held-back clean seeds are classified a second time against that
 // higher threshold before anything re-explores. F* only grows during a
 // run, so both classifications are sound by the same argument.
-//
-// # Registry carry-over
-//
-// Pruning-registry entries are tagged with their seed's ordinal. Entries
-// whose seed stays clean and is not re-explored are carried to the next
-// run (their patterns, residual integers, and linear-mode residual sets
-// depend only on supporting graphs, all unchanged); entries of pruned
-// subtrees have their branch bound lifted to hiddenBelow so the registry's
-// "usable when branchBest < F*" test stays sound under a future lower F*.
-// All other entries are dropped. A cancelled run leaves the caches of the
-// last complete run authoritative but wipes the registry, whose ordinals
-// and partial registrations are no longer trustworthy.
 
 import (
 	"context"
@@ -97,9 +87,6 @@ type SessionStats struct {
 	LastInjected int
 	// LastExplored is how many seeds were actually mined last run.
 	LastExplored int
-	// LastCarried is how many pruning-registry entries survived into the
-	// last run.
-	LastCarried int64
 	// LastWarmStart is the F* lower bound the last run started from
 	// (math.Inf(-1)-like sentinel when no clean seed existed).
 	LastWarmStart float64
@@ -124,23 +111,15 @@ type seedCache struct {
 // model. Options are fixed at construction (changing them would invalidate
 // every cached outcome). Methods are safe for concurrent use but runs are
 // serialized; the worker pool inside a single run still parallelizes per
-// Options.Parallelism. Results are byte-identical (Best, BestScore,
-// TieCount) to a cold MineContext on the same data, at every worker count
-// under ExhaustiveOptions and at one worker under a registry variant; only
-// Stats counters differ. With several workers the registry variants' ties
-// can differ between runs, cold or warm, because subgraph pruning (Lemma 4)
-// is not yet sound under the MaxEdges cap.
+// Options.Parallelism. Like MineTopK, a Session ignores the registry
+// prunings and returns the complete tie set at every worker count: results
+// are byte-identical (Best, BestScore, TieCount) to a cold MineContext
+// under ExhaustiveOptions on the same data; only Stats counters differ.
 type Session struct {
 	mu   sync.Mutex
 	opts Options
 
-	// Reused across runs (satellite of the incremental design: no
-	// per-Mine reallocation of testers or the pruning registry).
-	testers []SubgraphTester
-	reg     *registry
-
 	cache    map[grow.SeedKey]*seedCache
-	prevKeys []grow.SeedKey // seed key by previous run's registry ordinal
 	posPtrs  []*tgraph.Graph
 	posStamp []tgraph.Stamp
 	negPtrs  []*tgraph.Graph
@@ -152,14 +131,12 @@ type Session struct {
 }
 
 // NewSession creates an incremental mining session with fixed options.
+// SubgraphPruning and SupergraphPruning are cleared on the session's copy:
+// like MineTopK, a session prunes by the upper bound alone.
 func NewSession(opts Options) *Session {
 	opts = opts.normalize()
-	return &Session{
-		opts:    opts,
-		testers: testersFor(opts.Tester, opts.Parallelism),
-		reg:     newRegistry(opts.ResidualLinear, opts.MaxRegistry),
-		cache:   make(map[grow.SeedKey]*seedCache),
-	}
+	opts.SubgraphPruning, opts.SupergraphPruning = false, false
+	return &Session{opts: opts, cache: make(map[grow.SeedKey]*seedCache)}
 }
 
 // Stats returns reuse accounting for the most recent run.
@@ -178,11 +155,9 @@ func (ss *Session) Reset() {
 
 func (ss *Session) resetLocked() {
 	ss.cache = make(map[grow.SeedKey]*seedCache)
-	ss.prevKeys = nil
 	ss.posPtrs, ss.posStamp = nil, nil
 	ss.negPtrs, ss.negStamp = nil, nil
 	ss.haveRun = false
-	ss.reg.retain(func(*entry) bool { return false }, nil)
 }
 
 // Mine runs an incremental mining round with a background context.
@@ -203,8 +178,7 @@ const (
 // MineContext runs one incremental mining round over the current pos/neg
 // sets under a context. Cancellation is cooperative at seed granularity
 // exactly as in the batch MineContext: a partial Result plus ctx.Err() is
-// returned, the session's caches remain those of the last complete run,
-// and the carried pruning registry is discarded.
+// returned and the session's caches remain those of the last complete run.
 func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*Result, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -228,10 +202,10 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 
 	seeds := sortedSeeds(pos, neg)
 	keys := make([]grow.SeedKey, len(seeds))
-	newID := make(map[grow.SeedKey]int32, len(seeds))
+	live := make(map[grow.SeedKey]bool, len(seeds))
 	for i := range seeds {
 		keys[i] = seeds[i].Key()
-		newID[keys[i]] = int32(i)
+		live[keys[i]] = true
 	}
 
 	// Classify. First pass establishes cleanliness and warmF (the best
@@ -285,33 +259,6 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		}
 	}
 
-	// Registry carry-over: keep entries whose seed is clean and will not be
-	// re-explored (re-exploration re-registers its subtree), remapped to
-	// this run's ordinals. Lifting a pruned entry's bound to hiddenBelow
-	// keeps the registry's "usable iff branchBest < F*" test sound: the
-	// lifted bound dominates both its visited and hidden scores.
-	keepAs := make([]int32, len(ss.prevKeys))
-	bump := make([]float64, len(ss.prevKeys))
-	for old, k := range ss.prevKeys {
-		keepAs[old] = -1
-		id, ok := newID[k]
-		if !ok || !clean[id] || classes[id] == classExplore {
-			continue
-		}
-		keepAs[old] = id
-		bump[old] = ss.cache[k].hiddenBelow
-	}
-	ss.reg.retain(func(e *entry) bool {
-		return int(e.seedID) < len(keepAs) && keepAs[e.seedID] >= 0
-	}, func(e *entry) {
-		old := e.seedID
-		e.seedID = keepAs[old]
-		if e.pruned && bump[old] > e.branchBest {
-			e.branchBest = bump[old]
-		}
-	})
-	carried := ss.reg.size()
-
 	// Warm-start and replay. The run is two-phase: dirty seeds are explored
 	// first, because their outcomes decide how much cached work is reusable.
 	// Once they finish, the shared F* has recovered everything the dirty data
@@ -326,7 +273,7 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		sh.seedFstar(warmF)
 	}
 	var work []grow.Seed
-	var ids []int32
+	var ids []int32      // seed index of each work item
 	var cleanIDs []int32 // clean seeds provisionally classified explore
 	for i := range seeds {
 		switch classes[i] {
@@ -343,7 +290,7 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		}
 	}
 	capture := make([]seedOutcome, len(work))
-	stats := runSeeds(ctx, pos, neg, ss.opts, sh, ss.reg, ss.testers, work, ids, capture)
+	stats := runSeeds(ctx, pos, neg, ss.opts, sh, nil, work, capture)
 
 	// Phase 2: reclassify the held-back clean seeds against the post-phase-1
 	// F*, then explore only those still unresolved. Skipped on cancellation —
@@ -363,13 +310,12 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 			}
 		}
 		capture2 := make([]seedOutcome, len(work2))
-		stats2 := runSeeds(ctx, pos, neg, ss.opts, sh, ss.reg, ss.testers, work2, ids2, capture2)
+		stats2 := runSeeds(ctx, pos, neg, ss.opts, sh, nil, work2, capture2)
 		stats.merge(stats2)
 		work = append(work, work2...)
 		ids = append(ids, ids2...)
 		capture = append(capture, capture2...)
 	}
-	stats.RegistrySize = ss.reg.size()
 
 	res := &Result{
 		Best:      sh.canonicalBest(),
@@ -379,15 +325,13 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		Elapsed:   time.Since(start),
 	}
 	if err := ctx.Err(); err != nil {
-		// The registry now mixes remapped ordinals with partially explored
-		// seeds; drop it. Cache and stamps still describe the last complete
-		// run and stay authoritative.
-		ss.reg.retain(func(*entry) bool { return false }, nil)
+		// Cache and stamps still describe the last complete run and stay
+		// authoritative.
 		return res, err
 	}
 
 	// Commit: overwrite explored seeds' cache entries, drop seeds that no
-	// longer occur, refresh stamps and the ordinal->key table.
+	// longer occur, refresh stamps.
 	for j, i := range ids {
 		out := capture[j]
 		ss.cache[keys[i]] = &seedCache{
@@ -402,11 +346,10 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 		}
 	}
 	for k := range ss.cache {
-		if _, ok := newID[k]; !ok {
+		if !live[k] {
 			delete(ss.cache, k)
 		}
 	}
-	ss.prevKeys = keys
 	ss.posPtrs, ss.posStamp = snapshotStamps(pos, ss.posPtrs, ss.posStamp)
 	ss.negPtrs, ss.negStamp = snapshotStamps(neg, ss.negPtrs, ss.negStamp)
 	ss.haveRun = true
@@ -417,7 +360,6 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 	ss.stats.LastSkipped = skipped
 	ss.stats.LastInjected = injected
 	ss.stats.LastExplored = len(work)
-	ss.stats.LastCarried = carried
 	ss.stats.LastWarmStart = warmF
 	return res, nil
 }

@@ -145,9 +145,10 @@ func differentialScript() []struct {
 	}
 }
 
-// runDifferential drives a Session and a cold Mine over the same mutation
-// script and asserts byte-identical results each round.
-func runDifferential(t *testing.T, opts Options, checkStats bool) {
+// runDifferential drives a Session under opts and a cold Mine under cold
+// over the same mutation script and asserts byte-identical results each
+// round.
+func runDifferential(t *testing.T, opts, cold Options, checkStats bool) {
 	ds := sysgen.Generate(sysgen.Config{
 		Scale: 0.25, GraphsPerBehavior: 6, BackgroundGraphs: 10, Seed: 7,
 		Behaviors: []string{"gzip-decompress"},
@@ -162,11 +163,11 @@ func runDifferential(t *testing.T, opts Options, checkStats bool) {
 		if err != nil {
 			t.Fatalf("round %d (%s): session: %v", round, step.name, err)
 		}
-		cold, err := Mine(pos, neg, opts)
+		want, err := Mine(pos, neg, cold)
 		if err != nil {
 			t.Fatalf("round %d (%s): cold: %v", round, step.name, err)
 		}
-		assertSameResult(t, fmt.Sprintf("round %d (%s)", round, step.name), warm, cold)
+		assertSameResult(t, fmt.Sprintf("round %d (%s)", round, step.name), warm, want)
 
 		if !checkStats {
 			continue
@@ -201,23 +202,25 @@ func runDifferential(t *testing.T, opts Options, checkStats bool) {
 func TestSessionMatchesColdMine(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			opts := TGMinerOptions()
+			opts := ExhaustiveOptions()
 			opts.MaxEdges = 4
 			opts.Parallelism = workers
-			runDifferential(t, opts, workers == 1)
+			runDifferential(t, opts, opts, workers == 1)
 		})
 	}
 }
 
 // TestSessionAllConfigsDifferential runs the same differential script over
-// every algorithm variant (including the linear-scan registry mode, whose
-// entries retain residual sets across runs).
+// every algorithm variant. Sessions ignore the registry prunings, so under
+// each variant the session must equal a cold upper-bound-only Mine.
 func TestSessionAllConfigsDifferential(t *testing.T) {
 	for name, opts := range allConfigs() {
 		opts.MaxEdges = 3
 		opts.Parallelism = 2
+		cold := ExhaustiveOptions()
+		cold.MaxEdges = opts.MaxEdges
 		t.Run(name, func(t *testing.T) {
-			runDifferential(t, opts, false)
+			runDifferential(t, opts, cold, false)
 		})
 	}
 }
@@ -230,7 +233,7 @@ func TestSessionTieCapDifferential(t *testing.T) {
 	opts.MaxEdges = 3
 	opts.MaxResults = 2
 	opts.Parallelism = 2
-	runDifferential(t, opts, false)
+	runDifferential(t, opts, opts, false)
 }
 
 // TestSessionDenominatorReset pins the full-reset path: changing the graph
@@ -243,7 +246,7 @@ func TestSessionDenominatorReset(t *testing.T) {
 	})
 	pos := append([]*tgraph.Graph(nil), ds.Behaviors[0].Graphs...)
 	neg := append([]*tgraph.Graph(nil), ds.Background...)
-	opts := TGMinerOptions()
+	opts := ExhaustiveOptions()
 	opts.MaxEdges = 4
 
 	ss := NewSession(opts)
@@ -284,8 +287,8 @@ func (c *trippedCtx) Err() error {
 // TestSessionCancellationKeepsCacheSound cancels a session run mid-way and
 // verifies (a) the cancelled round returns the documented partial result
 // plus ctx.Err(), and (b) the next complete round is still byte-identical
-// to a cold mine — the cancelled round must not leave a poisoned cache or
-// registry behind.
+// to a cold mine — the cancelled round must not leave a poisoned cache
+// behind.
 func TestSessionCancellationKeepsCacheSound(t *testing.T) {
 	ds := sysgen.Generate(sysgen.Config{
 		Scale: 0.25, GraphsPerBehavior: 6, BackgroundGraphs: 10, Seed: 19,
@@ -293,7 +296,7 @@ func TestSessionCancellationKeepsCacheSound(t *testing.T) {
 	})
 	pos := append([]*tgraph.Graph(nil), ds.Behaviors[0].Graphs...)
 	neg := append([]*tgraph.Graph(nil), ds.Background...)
-	opts := TGMinerOptions()
+	opts := ExhaustiveOptions()
 	opts.MaxEdges = 4
 	opts.Parallelism = 1
 

@@ -17,12 +17,15 @@
 // SubgraphTester (sequence tests, modified VF2, or graph-index join).
 //
 // Mining parallelizes at the seed level (Options.Parallelism): a worker pool
-// shares F* and the pruning registry. ExhaustiveOptions, the facade's
-// default, gives the same result at every worker count. The registry
-// variants are deterministic at one worker only: with several, their tie
-// count can differ between runs, because subgraph pruning (Lemma 4) is not
-// yet sound under the MaxEdges cap and which registry entries exist when a
-// branch is tested depends on timing.
+// shares F* and, under a registry variant, the pruning registry. Only
+// MineContext builds a registry, and only when SubgraphPruning or
+// SupergraphPruning is on. ExhaustiveOptions, the facade's default, gives the
+// same result at every worker count; so do MineTopK and Session, which
+// ignore the registry prunings. The registry variants of MineContext are
+// deterministic at one worker only: with several, their tie count can differ
+// between runs, because subgraph pruning (Lemma 4) is not yet sound under
+// the MaxEdges cap and which registry entries exist when a branch is tested
+// depends on timing.
 package miner
 
 import (
@@ -87,17 +90,14 @@ type Options struct {
 	// MaxResults caps how many tied best patterns are retained (default
 	// 512). The count of ties seen is always exact in Result.TieCount.
 	MaxResults int
-	// MaxRegistry caps the number of completed branches retained for
-	// pruning lookups; exceeding it only forgoes pruning opportunities
-	// (default 1<<20).
-	MaxRegistry int
 	// Parallelism is the number of workers mining seeds concurrently
 	// (default runtime.GOMAXPROCS(0); 1 forces the classic sequential
-	// search). With neither registry pruning on, the result is the same at
-	// every worker count. Otherwise only one worker gives a deterministic
-	// result: several can return a different TieCount and best set from run
-	// to run, until subgraph pruning is sound under the MaxEdges cap. Stats
-	// counters always depend on how often pruning fires.
+	// search). With neither registry pruning on, and always in MineTopK and
+	// Session, the result is the same at every worker count. Otherwise only
+	// one worker gives a deterministic result: several can return a
+	// different TieCount and best set from run to run, until subgraph pruning
+	// is sound under the MaxEdges cap. Stats counters always depend on how
+	// often pruning fires.
 	Parallelism int
 }
 
@@ -155,9 +155,6 @@ func (o Options) normalize() Options {
 	}
 	if o.MaxResults <= 0 {
 		o.MaxResults = 512
-	}
-	if o.MaxRegistry <= 0 {
-		o.MaxRegistry = 1 << 20
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -233,11 +230,12 @@ func Mine(pos, neg []*tgraph.Graph, opts Options) (*Result, error) {
 //
 // When opts.Parallelism > 1, seeds are fanned out to a worker pool sharing
 // one F* (published through atomic float bits for lock-free pruning reads)
-// and one sharded pruning registry. Pruning with a stale, lower F* merely
-// prunes less, but which registry entries a branch is tested against
-// depends on timing, so TieCount and the best set are only guaranteed
-// repeatable at one worker (see Options.Parallelism). Best is canonicalized
-// (sorted by pattern key) so runs are byte-for-byte comparable.
+// and, when a registry pruning is on, one sharded pruning registry. Pruning
+// with a stale, lower F* merely prunes less, but which registry entries a
+// branch is tested against depends on timing, so under a registry variant
+// TieCount and the best set are only guaranteed repeatable at one worker
+// (see Options.Parallelism). Best is canonicalized (sorted by pattern key)
+// so runs are byte-for-byte comparable.
 //
 // Cancellation is cooperative at seed granularity: workers poll ctx between
 // seeds, so a cancel takes effect within at most one seed's branch per
@@ -257,10 +255,14 @@ func MineContext(ctx context.Context, pos, neg []*tgraph.Graph, opts Options) (*
 	}
 	seeds := sortedSeeds(pos, neg)
 	sh := newShared(opts.MaxResults)
-	reg := newRegistry(opts.ResidualLinear, opts.MaxRegistry)
-	testers := testersFor(opts.Tester, poolSize(opts.Parallelism, len(seeds)))
-	stats := runSeeds(ctx, pos, neg, opts, sh, reg, testers, seeds, nil, nil)
-	stats.RegistrySize = reg.size()
+	var reg *registry
+	if opts.SubgraphPruning || opts.SupergraphPruning {
+		reg = newRegistry(opts.ResidualLinear, maxRegistry)
+	}
+	stats := runSeeds(ctx, pos, neg, opts, sh, reg, seeds, nil)
+	if reg != nil {
+		stats.RegistrySize = reg.size()
+	}
 	res := &Result{
 		Best:      sh.canonicalBest(),
 		BestScore: sh.fstar,
@@ -272,6 +274,10 @@ func MineContext(ctx context.Context, pos, neg []*tgraph.Graph, opts Options) (*
 }
 
 func inf() float64 { return -1e308 }
+
+// maxRegistry caps the number of completed branches the registry retains for
+// pruning lookups; exceeding it only forgoes pruning opportunities.
+const maxRegistry = 1 << 20
 
 // sortedSeeds returns the single-edge seeds of pos against neg ordered
 // high-positive-support, low-negative-support first. The threshold reaches
@@ -319,7 +325,6 @@ func poolSize(parallelism, work int) int {
 // patterns capped at the smallest-MaxResults canonical keys, mirroring the
 // global retention rule).
 type seedOutcome struct {
-	explored bool
 	best     float64
 	pruned   bool
 	tieCount int
@@ -329,19 +334,25 @@ type seedOutcome struct {
 
 // runSeeds drives the seed-level worker pool shared by MineContext,
 // MineTopKContext and Session.Mine: every worker runs the one dfs, feeding
-// sk. work[i] is explored tagged with registry ordinal ids[i] (i itself when
-// ids is nil); when capture is non-nil (session mode), the subtree outcome of
-// work[i] is stored in capture[i]. reg may be nil when the options enable
-// neither registry pruning. Workers poll ctx between seeds, so each seed's
-// branch is either wholly mined or untouched.
-func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk sink, reg *registry, testers []SubgraphTester, work []grow.Seed, ids []int32, capture []seedOutcome) Stats {
-	workers := min(poolSize(opts.Parallelism, len(work)), len(testers))
+// sk. When capture is non-nil (session mode), the subtree outcome of work[i]
+// is stored in capture[i]. reg is nil unless the options enable a registry
+// pruning; only then are subgraph tests run, so only then does each worker
+// get its own tester. Workers poll ctx between seeds, so each seed's branch
+// is either wholly mined or untouched.
+func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk sink, reg *registry, work []grow.Seed, capture []seedOutcome) Stats {
+	workers := poolSize(opts.Parallelism, len(work))
+	var testers []SubgraphTester
+	if reg != nil {
+		testers = testersFor(opts.Tester, workers)
+	}
 	searches := make([]*search, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wopts := opts
-		wopts.Tester = testers[w]
+		if testers != nil {
+			wopts.Tester = testers[w]
+		}
 		s := &search{pos: pos, neg: neg, opts: wopts, sink: sk, reg: reg}
 		if capture != nil {
 			s.cap = &seedTies{}
@@ -359,10 +370,6 @@ func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk si
 				if i >= len(work) {
 					return
 				}
-				s.seedID = int32(i)
-				if ids != nil {
-					s.seedID = ids[i]
-				}
 				if s.cap != nil {
 					s.cap.reset()
 				}
@@ -370,7 +377,6 @@ func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk si
 				if capture != nil {
 					s.cap.flush()
 					capture[i] = seedOutcome{
-						explored: true,
 						best:     best,
 						pruned:   pruned,
 						tieCount: s.cap.count,
@@ -591,12 +597,8 @@ type search struct {
 	pos, neg []*tgraph.Graph
 	opts     Options
 	sink     sink
-	reg      *registry // read only when a registry pruning is on; nil in MineTopK
+	reg      *registry // nil unless a registry pruning is on
 	stats    Stats
-	// seedID is the registry ordinal of the seed currently being explored;
-	// entries registered during the seed's subtree carry it so incremental
-	// sessions can retain exactly the entries of still-clean seeds.
-	seedID int32
 	// cap, when non-nil (session mode), captures the current seed's local
 	// tie set so a later run can replay the seed without re-exploring it.
 	cap *seedTies
@@ -757,7 +759,7 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	}
 
 	if useReg {
-		s.register(p, resPos, iPos, negSet, branchBest, pruned)
+		s.register(p, resPos, iPos, negSet, branchBest)
 	}
 	// In integer mode nothing past this point references the sets (registry
 	// entries keep only iPos/iNeg), so their buffers recycle into the
@@ -872,7 +874,7 @@ func labelsTouchResiduals(set residual.Set, labels []tgraph.Label, graphs []*tgr
 }
 
 // register adds a completed branch to the pruning registry.
-func (s *search) register(p *tgraph.Pattern, resPos residual.Set, iPos int64, negSet func() (residual.Set, int64), branchBest float64, pruned bool) {
+func (s *search) register(p *tgraph.Pattern, resPos residual.Set, iPos int64, negSet func() (residual.Set, int64), branchBest float64) {
 	if s.reg.full() {
 		return
 	}
@@ -882,8 +884,6 @@ func (s *search) register(p *tgraph.Pattern, resPos residual.Set, iPos int64, ne
 		edges:      p.NumEdges(),
 		iPos:       iPos,
 		branchBest: branchBest,
-		seedID:     s.seedID,
-		pruned:     pruned,
 	}
 	if s.opts.SupergraphPruning {
 		resNeg, iNeg := negSet()
@@ -906,8 +906,6 @@ type entry struct {
 	iPos       int64
 	iNeg       int64
 	branchBest float64
-	seedID     int32        // registry ordinal of the owning seed (session carry-over)
-	pruned     bool         // an F*-dependent prune cut part of this entry's subtree
 	resPos     residual.Set // only in linear mode
 	resNeg     residual.Set // only in linear mode
 }
@@ -959,7 +957,7 @@ func shardOf(iPos int64) int {
 	return int((uint64(iPos) * 0x9E3779B97F4A7C15) >> (64 - 6)) // log2(regShardCount) = 6
 }
 
-// full reports whether the MaxRegistry cap is reached. Checked lock-free;
+// full reports whether the maxRegistry cap is reached. Checked lock-free;
 // under races a handful of entries past the cap may slip in, which only
 // keeps a few extra pruning opportunities.
 func (r *registry) full() bool {
@@ -981,58 +979,6 @@ func (r *registry) add(e *entry) {
 	sh.mu.Lock()
 	sh.byIPos[e.iPos] = append(sh.byIPos[e.iPos], e)
 	sh.mu.Unlock()
-}
-
-// retain rebuilds the registry in place between runs, keeping only entries
-// for which keep returns true and applying adjust (when non-nil) to each
-// survivor. It mutates bucket backing arrays, so it must never run
-// concurrently with add or candidates — incremental sessions call it only
-// while no workers exist.
-func (r *registry) retain(keep func(*entry) bool, adjust func(*entry)) {
-	var n int64
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		if r.linear {
-			kept := sh.all[:0]
-			for _, e := range sh.all {
-				if keep(e) {
-					if adjust != nil {
-						adjust(e)
-					}
-					kept = append(kept, e)
-				}
-			}
-			for j := len(kept); j < len(sh.all); j++ {
-				sh.all[j] = nil
-			}
-			sh.all = kept
-			n += int64(len(kept))
-		} else {
-			for ip, bucket := range sh.byIPos {
-				kept := bucket[:0]
-				for _, e := range bucket {
-					if keep(e) {
-						if adjust != nil {
-							adjust(e)
-						}
-						kept = append(kept, e)
-					}
-				}
-				if len(kept) == 0 {
-					delete(sh.byIPos, ip)
-					continue
-				}
-				for j := len(kept); j < len(bucket); j++ {
-					bucket[j] = nil
-				}
-				sh.byIPos[ip] = kept
-				n += int64(len(kept))
-			}
-		}
-		sh.mu.Unlock()
-	}
-	r.count.Store(n)
 }
 
 func (r *registry) candidates(iPos int64) []*entry {

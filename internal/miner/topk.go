@@ -65,8 +65,7 @@ func MineTopKContext(ctx context.Context, pos, neg []*tgraph.Graph, k int, opts 
 	}
 	seeds := sortedSeeds(pos, neg)
 	sh := newSharedTopK(k)
-	testers := testersFor(opts.Tester, poolSize(opts.Parallelism, len(seeds)))
-	stats := runSeeds(ctx, pos, neg, opts, sh, nil, testers, seeds, nil, nil)
+	stats := runSeeds(ctx, pos, neg, opts, sh, nil, seeds, nil)
 	return &TopKResult{
 		Patterns:  sh.ranked(),
 		Threshold: sh.threshold(),

@@ -58,8 +58,10 @@ type MineOptions struct {
 	// Algorithm selects the variant (default AlgoExhaustive, the naive
 	// upper bound of Section 4.1 alone). The default returns every
 	// maximum-score pattern; AlgoTGMiner and the other registry variants can
-	// miss some, because subgraph pruning is not yet sound under the
-	// MaxEdges cap.
+	// miss some in Mine, because subgraph pruning is not yet sound under the
+	// MaxEdges cap. MineSession and MineTopK, like the default, ignore the
+	// registry prunings and return the complete tie set at every worker
+	// count.
 	Algorithm Algorithm
 	// ScoreFunc names the discriminative score function: "log-ratio"
 	// (default), "g-test", or "info-gain".
@@ -73,7 +75,8 @@ type MineOptions struct {
 	// Parallelism is the number of workers mining seeds concurrently
 	// (default runtime.GOMAXPROCS(0); 1 forces the sequential search). The
 	// default algorithm returns the same BestScore, TieCount and Best at
-	// every worker count. The registry variants (every algorithm but
+	// every worker count, and so do MineSession and MineTopK under every
+	// algorithm. In Mine the registry variants (every algorithm but
 	// AlgoExhaustive) are deterministic only at one worker: with several
 	// they can return a different TieCount and best set from run to run.
 	// Stats counters can vary with the worker count for every algorithm.
@@ -154,8 +157,8 @@ func (opts MineOptions) minerOptions() (miner.Options, error) {
 }
 
 // MineSessionStats reports seed-reuse accounting for the most recent
-// session round: dirty/skipped/injected/explored seed counts, carried
-// pruning-registry entries, and the warm-start F*.
+// session round: dirty/skipped/injected/explored seed counts and the
+// warm-start F*.
 type MineSessionStats = miner.SessionStats
 
 // DriftKind classifies a drift alert between consecutive session rounds.
@@ -203,13 +206,12 @@ type DriftAlert struct {
 // warm-starts the shared pruning threshold before any worker runs — which
 // is safe because that score is still achieved on the current data, so the
 // threshold stays a valid lower bound of the true F* and can only
-// under-prune. At one worker, results are byte-identical (Best, BestScore,
-// TieCount) to a cold Mine over the same data; only Stats counters differ.
-// Under the default algorithm that holds at every worker count; with several
-// workers the registry variants' ties can differ from run to run (see
-// MineOptions.Parallelism). See
-// internal/miner's incremental documentation for the full invalidation
-// model and its proof obligations.
+// under-prune. Like MineTopK, a session ignores the registry prunings and
+// returns the complete tie set at every worker count: results are
+// byte-identical (Best, BestScore, TieCount) to a cold Mine under the
+// default algorithm over the same data, whichever Algorithm the session was
+// built with; only Stats counters differ. See internal/miner's incremental
+// documentation for the full invalidation model and its proof obligations.
 //
 // Options are fixed at construction. Methods are safe for concurrent use;
 // rounds serialize, and each round parallelizes internally per
@@ -222,6 +224,8 @@ type MineSession struct {
 }
 
 // NewMineSession creates a continuous-mining session with fixed options.
+// Like MineTopK, the session ignores the registry prunings of
+// opts.Algorithm and prunes by the upper bound alone.
 func NewMineSession(opts MineOptions) (*MineSession, error) {
 	mo, err := opts.minerOptions()
 	if err != nil {
