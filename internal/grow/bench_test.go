@@ -2,6 +2,7 @@ package grow
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,14 +81,54 @@ func BenchmarkExtend(b *testing.B) {
 	}
 }
 
+// BenchmarkChildren grows every child of one pattern ("all"), and again
+// keeping only the children whose support is above the median
+// ("above-median"), so the buckets a filter drops are timed too. The
+// pattern is the seed with the most children in a set that mixes one
+// behaviour's graphs with background graphs, so that the children's
+// supports differ; most have the least support, which is then the median.
 func BenchmarkChildren(b *testing.B) {
-	graphs, p, l, _ := benchWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if exts, _ := Children(p, graphs, l); len(exts) == 0 {
-			b.Fatal("no children")
+	ds := sysgen.Generate(sysgen.Config{
+		Scale:             0.5,
+		GraphsPerBehavior: 8,
+		BackgroundGraphs:  8,
+		Seed:              7,
+		Behaviors:         []string{"sshd-login"},
+	})
+	graphs := slices.Concat(ds.Behaviors[0].Graphs, ds.Background)
+	var p *tgraph.Pattern
+	var l List
+	var lists []List
+	for _, sd := range Seeds(graphs, nil) {
+		if _, ls, _ := Children(sd.Pattern, graphs, sd.Pos, nil); len(ls) > len(lists) {
+			p, l, lists = sd.Pattern, sd.Pos, ls
 		}
+	}
+	supports := make([]int, len(lists))
+	for i, cl := range lists {
+		supports[i] = cl.SupportCount()
+	}
+	slices.Sort(supports)
+	median := supports[len(supports)/2]
+	for _, c := range []struct {
+		name string
+		keep func(support int) bool
+	}{
+		{"all", nil},
+		{"above-median", func(support int) bool { return support > median }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, _, dropped := Children(p, graphs, l, c.keep); c.keep != nil && dropped == 0 {
+				b.Fatal("the filter drops no child")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if exts, _, _ := Children(p, graphs, l, c.keep); len(exts) == 0 {
+					b.Fatal("no children")
+				}
+			}
+		})
 	}
 }
 
@@ -131,7 +172,7 @@ func BenchmarkNodeArenaChunk(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if exts, _ := Children(p, graphs, l); len(exts) == 0 {
+				if exts, _, _ := Children(p, graphs, l, nil); len(exts) == 0 {
 					b.Fatal("no children")
 				}
 			}

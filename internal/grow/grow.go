@@ -300,16 +300,39 @@ func (a *nodeArena) alloc(n int) []tgraph.NodeID {
 var nodeArenaPool = sync.Pool{New: func() any { return new(nodeArena) }}
 
 // extScratch is the reusable per-call workspace of Extensions and
-// Children: the extension index and the reverse node-mapping buffer, both of
-// which otherwise dominate the functions' allocation profiles.
+// Children: the extension indexes and the reverse node-mapping buffer, both
+// of which otherwise dominate the functions' allocation profiles.
 type extScratch struct {
-	index map[uint64]int32 // Ext.key() -> bucket ordinal
-	rev   []int32          // graph node -> pattern node + 1 (0 = unmapped); all zero between embeddings
-	hits  []hit            // Children's child embeddings, in scan order
-	exts  []Ext            // Children's extensions, by bucket
-	count []int32          // Children's list length by bucket, then the bucket's output index
-	keys  []uint64         // the buckets' keys, sorted into Less order
+	index   map[uint64]int32 // Extensions' Ext.key() -> bucket ordinal
+	table   []extSlot        // Children's Ext.key() -> bucket ordinal: open addressing, power-of-two size, load ≤ ½
+	shift   uint             // 64 - log2(len(table))
+	epoch   uint32           // stamp of the current Children call's slots; never 0
+	rev     []int32          // graph node -> pattern node + 1 (0 = unmapped); all zero between embeddings
+	hits    []hit            // Children's child embeddings, in scan order
+	exts    []Ext            // Extensions' extensions, by bucket
+	buckets []bucket         // Children's buckets, by ordinal
+	keys    []uint64         // the output buckets' keys, sorted into Less order
 }
+
+// extSlot is one slot of Children's bucket index. It is live only while its
+// epoch is the scratch's, so the table is never cleared between calls.
+type extSlot struct {
+	key    uint64
+	epoch  uint32
+	bucket int32
+}
+
+// bucket is one child of a Children call: its extension, how many hits and
+// distinct graphs it has, and the graph of its latest hit. After the scan,
+// n becomes the bucket's output index, or -1 when keep dropped it.
+type bucket struct {
+	ext        Ext
+	n, support int32
+	lastGraph  int32
+}
+
+// extTableBits is log2 of the initial size of Children's bucket index.
+const extTableBits = 6
 
 // hit is one child embedding as Children records it before the lists are
 // sized: its bucket, parent embedding, graph edge, and added graph node.
@@ -320,6 +343,75 @@ type hit struct {
 
 var extScratchPool = sync.Pool{
 	New: func() any { return &extScratch{index: make(map[uint64]int32)} },
+}
+
+// startTable begins a Children call: every slot of the previous call goes
+// stale by bumping the epoch, and only a wrapped epoch clears the table.
+func (s *extScratch) startTable() {
+	if s.table == nil {
+		s.table = make([]extSlot, 1<<extTableBits)
+		s.shift = 64 - extTableBits
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.table)
+		s.epoch = 1
+	}
+}
+
+// home is the slot where k's linear probe starts: the top bits of its
+// Fibonacci hash.
+func (s *extScratch) home(k uint64) uint64 {
+	return (k * 0x9E3779B97F4A7C15) >> s.shift
+}
+
+// bucketOf returns the ordinal of k's bucket, adding a bucket for x when k
+// is new to this call. The table doubles once it is more than half full.
+func (s *extScratch) bucketOf(k uint64, x Ext) int32 {
+	mask := uint64(len(s.table) - 1)
+	for i := s.home(k); ; i = (i + 1) & mask {
+		sl := &s.table[i]
+		if sl.epoch != s.epoch {
+			b := int32(len(s.buckets))
+			*sl = extSlot{key: k, epoch: s.epoch, bucket: b}
+			s.buckets = append(s.buckets, bucket{ext: x, lastGraph: -1})
+			if 2*len(s.buckets) > len(s.table) {
+				s.growTable()
+			}
+			return b
+		}
+		if sl.key == k {
+			return sl.bucket
+		}
+	}
+}
+
+// lookup returns the ordinal of k's bucket, which must exist.
+func (s *extScratch) lookup(k uint64) int32 {
+	mask := uint64(len(s.table) - 1)
+	for i := s.home(k); ; i = (i + 1) & mask {
+		if sl := &s.table[i]; sl.key == k && sl.epoch == s.epoch {
+			return sl.bucket
+		}
+	}
+}
+
+// growTable doubles the table, re-inserting this call's live slots.
+func (s *extScratch) growTable() {
+	old := s.table
+	s.table = make([]extSlot, 2*len(old))
+	s.shift--
+	mask := uint64(len(s.table) - 1)
+	for _, sl := range old {
+		if sl.epoch != s.epoch {
+			continue
+		}
+		i := s.home(sl.key)
+		for s.table[i].epoch == s.epoch {
+			i = (i + 1) & mask
+		}
+		s.table[i] = sl
+	}
 }
 
 // key packs the two fields that identify an extension of its kind into one
@@ -419,41 +511,58 @@ func Extensions(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) []Ext {
 // Children is Extensions followed by Extend for each extension, in one pass
 // over l: every witnessed child edge is recorded against its extension,
 // then each extension's list is allocated at its exact length and filled.
-// It returns the extensions in Less order and, for each, exactly the list
-// Extend(exts[i], graphs, l) returns — parent-embedding order, then
-// position order.
+//
+// keep filters children by support, the number of distinct graphs holding
+// at least one of the child's embeddings (its list's SupportCount). A child
+// for which keep is false is dropped before it is sorted, sized or filled,
+// and dropped counts them. With keep == nil every child is kept: Children
+// returns the extensions in Less order and, for each, exactly the list
+// Extend(exts[i], graphs, l) returns — parent-embedding order, then position
+// order. With a filter it returns exactly the entries of that unfiltered
+// result that keep accepts, in the same order.
 //
 // Children is safe for concurrent use; child node slices are carved out of
 // the pooled chunk arena, as in Extend.
-func Children(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) ([]Ext, []List) {
+func Children(p *tgraph.Pattern, graphs []*tgraph.Graph, l List, keep func(support int) bool) (exts []Ext, lists []List, dropped int) {
 	s := extScratchPool.Get().(*extScratch)
-	clear(s.index)
-	s.hits, s.exts, s.count, s.keys = s.hits[:0], s.exts[:0], s.count[:0], s.keys[:0]
+	s.startTable()
+	s.hits, s.buckets, s.keys = s.hits[:0], s.buckets[:0], s.keys[:0]
 	s.scan(graphs, l, func(i int, x Ext, pos int32, added tgraph.NodeID) {
-		k := x.key()
-		b, ok := s.index[k]
-		if !ok {
-			b = int32(len(s.exts))
-			s.index[k] = b
-			s.exts = append(s.exts, x)
-			s.count = append(s.count, 0)
-			s.keys = append(s.keys, k)
+		b := s.bucketOf(x.key(), x)
+		bk := &s.buckets[b]
+		bk.n++
+		// l is ordered by GraphID, so a bucket's hits are too.
+		if g := l[i].GraphID; g != bk.lastGraph {
+			bk.support++
+			bk.lastGraph = g
 		}
-		s.count[b]++
 		s.hits = append(s.hits, hit{bucket: b, parent: int32(i), pos: pos, added: added})
 	})
 
-	// Lay the buckets out in Less order (the keys' order), each list at its
-	// exact length.
+	// Drop the buckets keep rejects, then lay the rest out in Less order
+	// (the keys' order), each list at its exact length.
+	for b := range s.buckets {
+		bk := &s.buckets[b]
+		if keep != nil && !keep(int(bk.support)) {
+			bk.n = -1
+			dropped++
+			continue
+		}
+		s.keys = append(s.keys, bk.ext.key())
+	}
 	slices.Sort(s.keys)
-	exts, lists := make([]Ext, len(s.keys)), make([]List, len(s.keys))
+	exts, lists = make([]Ext, len(s.keys)), make([]List, len(s.keys))
 	for i, k := range s.keys {
-		b := s.index[k]
-		exts[i], lists[i] = s.exts[b], make(List, 0, s.count[b])
-		s.count[b] = int32(i)
+		bk := &s.buckets[s.lookup(k)]
+		exts[i], lists[i] = bk.ext, make(List, 0, bk.n)
+		bk.n = int32(i)
 	}
 	arena := nodeArenaPool.Get().(*nodeArena)
 	for _, h := range s.hits {
+		o := s.buckets[h.bucket].n
+		if o < 0 {
+			continue
+		}
 		emb := &l[h.parent]
 		nodes := emb.Nodes
 		if h.added >= 0 {
@@ -461,12 +570,11 @@ func Children(p *tgraph.Pattern, graphs []*tgraph.Graph, l List) ([]Ext, []List)
 			copy(nodes, emb.Nodes)
 			nodes[len(emb.Nodes)] = h.added
 		}
-		out := &lists[s.count[h.bucket]]
-		*out = append(*out, Embedding{GraphID: emb.GraphID, LastPos: h.pos, Nodes: nodes})
+		lists[o] = append(lists[o], Embedding{GraphID: emb.GraphID, LastPos: h.pos, Nodes: nodes})
 	}
 	nodeArenaPool.Put(arena)
 	extScratchPool.Put(s)
-	return exts, lists
+	return exts, lists, dropped
 }
 
 // Extend computes the embedding list of the child pattern obtained by

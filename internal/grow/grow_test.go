@@ -2,6 +2,8 @@ package grow
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -338,7 +340,7 @@ func TestTheorem1CompletenessAndNoRepetition(t *testing.T) {
 // each the same embeddings in the same order, field by field.
 func checkChildren(t *testing.T, graphs []*tgraph.Graph, p *tgraph.Pattern, l List) {
 	t.Helper()
-	exts, lists := Children(p, graphs, l)
+	exts, lists, _ := Children(p, graphs, l, nil)
 	want := Extensions(p, graphs, l)
 	if !slices.Equal(exts, want) {
 		t.Fatalf("%v: Children extensions %v, Extensions %v", p, exts, want)
@@ -353,27 +355,32 @@ func checkChildren(t *testing.T, graphs []*tgraph.Graph, p *tgraph.Pattern, l Li
 		}
 		for j, e := range lists[i] {
 			w := wl[j]
-			if e.GraphID != w.GraphID || e.LastPos != w.LastPos || !slices.Equal(e.Nodes, w.Nodes) {
+			if !sameEmbedding(e, w) {
 				t.Fatalf("%v + %+v: embedding %d is %+v, Extend has %+v", p, x, j, e, w)
 			}
 		}
 	}
 }
 
-// walkChildren checks checkChildren at every pattern reachable from the
-// seeds of graphs within maxEdges edges, growing through Children, and
-// returns the number of patterns checked.
-func walkChildren(t *testing.T, graphs []*tgraph.Graph, maxEdges int) int {
+// sameEmbedding reports whether two embeddings agree field by field.
+func sameEmbedding(a, b Embedding) bool {
+	return a.GraphID == b.GraphID && a.LastPos == b.LastPos && slices.Equal(a.Nodes, b.Nodes)
+}
+
+// walkChildren runs check at every pattern reachable from the seeds of
+// graphs within maxEdges edges, growing through Children, and returns the
+// number of patterns checked.
+func walkChildren(t *testing.T, graphs []*tgraph.Graph, maxEdges int, check func(*testing.T, []*tgraph.Graph, *tgraph.Pattern, List)) int {
 	t.Helper()
 	n := 0
 	var walk func(p *tgraph.Pattern, l List)
 	walk = func(p *tgraph.Pattern, l List) {
 		n++
-		checkChildren(t, graphs, p, l)
+		check(t, graphs, p, l)
 		if p.NumEdges() >= maxEdges {
 			return
 		}
-		exts, lists := Children(p, graphs, l)
+		exts, lists, _ := Children(p, graphs, l, nil)
 		for i, x := range exts {
 			walk(x.Apply(p), lists[i])
 		}
@@ -384,55 +391,171 @@ func walkChildren(t *testing.T, graphs []*tgraph.Graph, maxEdges int) int {
 	return n
 }
 
+// childrenHandBuilt are the small graphs the Children tests walk by hand.
+var childrenHandBuilt = []struct {
+	name   string
+	labels []tgraph.Label
+	edges  [][2]tgraph.NodeID
+}{
+	// Self loops before, between and after ordinary edges, on mapped and
+	// unmapped nodes.
+	{"self loops", []tgraph.Label{0, 1, 1}, [][2]tgraph.NodeID{{0, 0}, {0, 1}, {1, 1}, {0, 0}, {1, 2}, {2, 2}, {1, 0}}},
+	// Parallel edges: several inward, forward and backward candidates
+	// per embedding, so one embedding fans out into several children.
+	{"parallel edges", []tgraph.Label{0, 1, 2}, [][2]tgraph.NodeID{{0, 1}, {0, 1}, {1, 2}, {0, 1}, {1, 2}, {2, 1}, {2, 1}}},
+	// Repeated labels: forward and backward steps to distinct graph nodes
+	// of one label land in one extension.
+	{"repeated labels", []tgraph.Label{0, 0, 0, 1, 1}, [][2]tgraph.NodeID{{0, 1}, {1, 2}, {0, 3}, {2, 0}, {4, 1}, {1, 4}, {3, 0}}},
+	// Embeddings sharing a final edge: A->B at 0 and A'->B at 1 both grow
+	// backward through C->B at 2, and inward through A->B / A'->B later.
+	{"shared final edge", []tgraph.Label{0, 0, 1, 2}, [][2]tgraph.NodeID{{0, 2}, {1, 2}, {3, 2}, {0, 2}, {1, 2}, {2, 3}}},
+}
+
 func TestChildrenMatchesExtendHandBuilt(t *testing.T) {
-	cases := []struct {
-		name   string
-		labels []tgraph.Label
-		edges  [][2]tgraph.NodeID
-	}{
-		// Self loops before, between and after ordinary edges, on mapped and
-		// unmapped nodes.
-		{"self loops", []tgraph.Label{0, 1, 1}, [][2]tgraph.NodeID{{0, 0}, {0, 1}, {1, 1}, {0, 0}, {1, 2}, {2, 2}, {1, 0}}},
-		// Parallel edges: several inward, forward and backward candidates
-		// per embedding, so one embedding fans out into several children.
-		{"parallel edges", []tgraph.Label{0, 1, 2}, [][2]tgraph.NodeID{{0, 1}, {0, 1}, {1, 2}, {0, 1}, {1, 2}, {2, 1}, {2, 1}}},
-		// Repeated labels: forward and backward steps to distinct graph nodes
-		// of one label land in one extension.
-		{"repeated labels", []tgraph.Label{0, 0, 0, 1, 1}, [][2]tgraph.NodeID{{0, 1}, {1, 2}, {0, 3}, {2, 0}, {4, 1}, {1, 4}, {3, 0}}},
-		// Embeddings sharing a final edge: A->B at 0 and A'->B at 1 both grow
-		// backward through C->B at 2, and inward through A->B / A'->B later.
-		{"shared final edge", []tgraph.Label{0, 0, 1, 2}, [][2]tgraph.NodeID{{0, 2}, {1, 2}, {3, 2}, {0, 2}, {1, 2}, {2, 3}}},
-	}
-	for _, c := range cases {
+	for _, c := range childrenHandBuilt {
 		t.Run(c.name, func(t *testing.T) {
 			g := buildGraph(t, c.labels, c.edges)
 			// The graph twice, so lists span several graph IDs.
-			if n := walkChildren(t, []*tgraph.Graph{g, g}, 5); n == 0 {
+			if n := walkChildren(t, []*tgraph.Graph{g, g}, 5, checkChildren); n == 0 {
 				t.Fatal("no patterns checked")
 			}
 		})
 	}
 }
 
-func TestChildrenMatchesExtendRandom(t *testing.T) {
+// childrenRandomCorpora returns the random graph pairs the Children tests
+// walk.
+func childrenRandomCorpora() [][]*tgraph.Graph {
 	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 40; trial++ {
-		graphs := []*tgraph.Graph{
+	out := make([][]*tgraph.Graph, 40)
+	for trial := range out {
+		out[trial] = []*tgraph.Graph{
 			randomGraph(rng, 3+rng.Intn(4), 6+rng.Intn(6), 2),
 			randomGraph(rng, 3+rng.Intn(4), 6+rng.Intn(6), 2),
 		}
-		walkChildren(t, graphs, 4)
+	}
+	return out
+}
+
+func TestChildrenMatchesExtendRandom(t *testing.T) {
+	for _, graphs := range childrenRandomCorpora() {
+		walkChildren(t, graphs, 4, checkChildren)
 	}
 }
 
-func TestChildrenMatchesExtendSysgen(t *testing.T) {
-	ds := sysgen.Generate(sysgen.Config{
+// childrenSysgen is the sysgen corpus the Children tests walk to two edges.
+func childrenSysgen() *sysgen.Dataset {
+	return sysgen.Generate(sysgen.Config{
 		Scale: 0.2, GraphsPerBehavior: 2, BackgroundGraphs: 0, Seed: 11,
 		Behaviors: []string{"sshd-login", "apt-get-install"},
 	})
-	for _, bd := range ds.Behaviors {
-		n := walkChildren(t, bd.Graphs, 2)
+}
+
+func TestChildrenMatchesExtendSysgen(t *testing.T) {
+	for _, bd := range childrenSysgen().Behaviors {
+		n := walkChildren(t, bd.Graphs, 2, checkChildren)
 		t.Logf("%s: %d patterns checked", bd.Spec.Name, n)
+	}
+}
+
+// checkChildrenKeep compares Children filtered by keep = support ≥ k, for
+// k = 1, 2 and the largest child support, with the unfiltered call: it must
+// return exactly the unfiltered entries whose list has SupportCount() ≥ k,
+// with the same extensions, list contents and order, and report the rest as
+// dropped. It returns the number of children the filters dropped.
+func checkChildrenKeep(t *testing.T, graphs []*tgraph.Graph, p *tgraph.Pattern, l List) int {
+	t.Helper()
+	all, allLists, none := Children(p, graphs, l, nil)
+	if none != 0 {
+		t.Fatalf("%v: keep == nil dropped %d children", p, none)
+	}
+	largest := 0
+	for _, cl := range allLists {
+		largest = max(largest, cl.SupportCount())
+	}
+	total := 0
+	for _, k := range []int{1, 2, largest} {
+		exts, lists, dropped := Children(p, graphs, l, func(support int) bool { return support >= k })
+		var wantExts []Ext
+		var wantLists []List
+		for i, cl := range allLists {
+			if cl.SupportCount() >= k {
+				wantExts = append(wantExts, all[i])
+				wantLists = append(wantLists, cl)
+			}
+		}
+		if !slices.Equal(exts, wantExts) {
+			t.Fatalf("%v, support ≥ %d: extensions %v, want %v", p, k, exts, wantExts)
+		}
+		if dropped != len(all)-len(wantExts) {
+			t.Fatalf("%v, support ≥ %d: dropped %d, want %d", p, k, dropped, len(all)-len(wantExts))
+		}
+		for i := range lists {
+			if !slices.EqualFunc(lists[i], wantLists[i], sameEmbedding) {
+				t.Fatalf("%v + %+v, support ≥ %d: list %+v, want %+v", p, exts[i], k, lists[i], wantLists[i])
+			}
+		}
+		total += dropped
+	}
+	return total
+}
+
+func TestChildrenKeepDropsBySupport(t *testing.T) {
+	type corpus struct {
+		name     string
+		graphs   []*tgraph.Graph
+		maxEdges int
+	}
+	var corpora []corpus
+	for _, c := range childrenHandBuilt {
+		g := buildGraph(t, c.labels, c.edges)
+		corpora = append(corpora, corpus{c.name, []*tgraph.Graph{g, g}, 5})
+	}
+	for i, graphs := range childrenRandomCorpora() {
+		corpora = append(corpora, corpus{fmt.Sprintf("random %d", i), graphs, 4})
+	}
+	for _, bd := range childrenSysgen().Behaviors {
+		corpora = append(corpora, corpus{bd.Spec.Name, bd.Graphs, 2})
+	}
+	total := 0
+	for _, c := range corpora {
+		dropped := 0
+		walkChildren(t, c.graphs, c.maxEdges, func(t *testing.T, graphs []*tgraph.Graph, p *tgraph.Pattern, l List) {
+			dropped += checkChildrenKeep(t, graphs, p, l)
+		})
+		t.Logf("%s: %d children dropped", c.name, dropped)
+		total += dropped
+	}
+	if total == 0 {
+		t.Fatal("no filter dropped a child")
+	}
+}
+
+// TestExtTableForgetsEarlierCalls checks that Children's bucket index starts
+// every call empty, across table growth and the epoch counter's wraparound:
+// each call inserts its keys in a new order, and every key must get a fresh
+// ordinal, in insertion order, that lookup then finds.
+func TestExtTableForgetsEarlierCalls(t *testing.T) {
+	const n = 100 // several doublings past the initial table
+	s := &extScratch{}
+	for call := 0; call < 3; call++ {
+		if call == 1 {
+			s.epoch = math.MaxUint32 // this call wraps to epoch 1, the first call's
+		}
+		s.startTable()
+		s.buckets = s.buckets[:0]
+		for i := 0; i < n; i++ {
+			x := Ext{Kind: tgraph.Forward, Src: 0, Dst: -1, NewLabel: tgraph.Label((i*7 + call*13) % n)}
+			if b := s.bucketOf(x.key(), x); b != int32(i) {
+				t.Fatalf("call %d (epoch %d): key %d got bucket %d, want %d", call, s.epoch, i, b, i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			x := Ext{Kind: tgraph.Forward, Src: 0, Dst: -1, NewLabel: tgraph.Label((i*7 + call*13) % n)}
+			if b := s.lookup(x.key()); b != int32(i) || s.buckets[b].ext != x {
+				t.Fatalf("call %d: lookup of key %d gave bucket %d", call, i, b)
+			}
+		}
 	}
 }
 

@@ -173,6 +173,11 @@ type ScoredPattern struct {
 // Stats aggregates search counters; Table 3 of the paper reports the
 // trigger probabilities SubgraphPrunes/PatternsExplored and
 // SupergraphPrunes/PatternsExplored.
+//
+// A child that the upper bound cuts before it is built (no embedding lists,
+// no pattern; see search.dfs) is counted exactly as its own frame would
+// count it: in PatternsExplored and MaxEdgesSeen, and in UpperBoundPrunes
+// unless it is at MaxEdges.
 type Stats struct {
 	PatternsExplored int64
 	UpperBoundPrunes int64
@@ -357,6 +362,8 @@ func runSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk si
 		if capture != nil {
 			s.cap = &seedTies{}
 			s.cap.list.max = opts.MaxResults
+		} else if reg == nil {
+			s.ub = upperBounds(opts.Score, len(pos))
 		}
 		searches[w] = s
 		wg.Add(1)
@@ -602,6 +609,11 @@ type search struct {
 	// cap, when non-nil (session mode), captures the current seed's local
 	// tie set so a later run can replay the seed without re-exploring it.
 	cap *seedTies
+	// ub, when non-nil, is Score.UpperBound by positive support count:
+	// ub[c] is the bound of a pattern held by c of the len(pos) graphs. It
+	// is set when there is neither a registry nor a session capture, and
+	// then dfs cuts children before building them.
+	ub []float64
 	// setFree recycles residual.Set backing arrays across dfs frames (LIFO,
 	// worker-local, so no synchronization). Only valid in integer-compression
 	// mode: linear mode retains the sets inside registry entries.
@@ -659,6 +671,17 @@ func (t *seedTies) flush() {
 	t.pend = t.pend[:0]
 }
 
+// upperBounds tabulates f.UpperBound over every positive support count c =
+// 0..total, computing x exactly as List.Frequency does so each value is
+// bit-identical to the bound a child's own frame would compute.
+func upperBounds(f score.Func, total int) []float64 {
+	ub := make([]float64, total+1)
+	for c := range ub {
+		ub[c] = f.UpperBound(float64(c) / float64(total))
+	}
+	return ub
+}
+
 // getSet pops a recycled residual-set buffer, or nil for a fresh one.
 func (s *search) getSet() residual.Set {
 	if n := len(s.setFree); n > 0 {
@@ -684,6 +707,17 @@ func (s *search) putSet(b residual.Set) {
 // flag: a subtree finished without threshold-dependent prunes has been
 // searched exhaustively within the configured pattern-size bound, and its
 // returned best is exact.
+//
+// With s.ub set (no registry, no session capture), a child whose upper
+// bound is below the threshold is never built: Children drops it by its
+// support, or the child loop skips it before Ext.Apply and the negative
+// Extend, re-reading the threshold because earlier siblings can raise it.
+// Its own frame would have pruned it on the same condition (the threshold
+// never falls) without reporting a score the sink keeps (its score is at
+// most its bound), so skipped counts it as that frame would. The cut cannot
+// apply otherwise: a session's seedTies observes every visited pattern
+// against the seed's own best, not against the threshold, and register
+// reads the child's negative residual set.
 func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	s.stats.PatternsExplored++
 	if n := p.NumEdges(); n > s.stats.MaxEdgesSeen {
@@ -745,10 +779,23 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 	}
 
 	if !prune {
-		exts, lists := grow.Children(p, s.pos, posE)
+		var keep func(support int) bool
+		if s.ub != nil {
+			t := s.sink.threshold()
+			keep = func(c int) bool { return !(s.ub[c] < t) }
+		}
+		childEdges := p.NumEdges() + 1
+		exts, lists, dropped := grow.Children(p, s.pos, posE, keep)
+		if dropped > 0 {
+			pruned = s.skipped(childEdges, dropped) || pruned
+		}
 		for i, ext := range exts {
 			childPos := lists[i]
 			lists[i] = nil // held by the child's frame only, so it dies with it
+			if s.ub != nil && s.ub[childPos.SupportCount()] < s.sink.threshold() {
+				pruned = s.skipped(childEdges, 1) || pruned
+				continue
+			}
 			childNeg := grow.Extend(ext, s.neg, negE)
 			b, pr := s.dfs(ext.Apply(p), childPos, childNeg)
 			if b > branchBest {
@@ -771,6 +818,22 @@ func (s *search) dfs(p *tgraph.Pattern, posE, negE grow.List) (float64, bool) {
 		}
 	}
 	return branchBest, pruned
+}
+
+// skipped counts n children of the given size that the upper bound cut
+// before they were built, as their own frames would have counted them, and
+// reports whether the cut depends on the threshold: a child at MaxEdges is
+// cut by the size cap first, which is structural.
+func (s *search) skipped(edges, n int) bool {
+	s.stats.PatternsExplored += int64(n)
+	if edges > s.stats.MaxEdgesSeen {
+		s.stats.MaxEdgesSeen = edges
+	}
+	if edges >= s.opts.MaxEdges {
+		return false
+	}
+	s.stats.UpperBoundPrunes += int64(n)
+	return true
 }
 
 // subgraphPrune implements Lemma 4: prune p when some earlier-discovered
