@@ -71,15 +71,6 @@ func Full() Scale {
 	}
 }
 
-// WithFactor scales the graph counts of s by f (used by the
-// training-amount sweeps of Figures 12 and 15).
-func (s Scale) WithFactor(f float64) Scale {
-	out := s
-	out.GraphsPerBehavior = maxInt(1, int(float64(s.GraphsPerBehavior)*f))
-	out.BackgroundGraphs = maxInt(1, int(float64(s.BackgroundGraphs)*f))
-	return out
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

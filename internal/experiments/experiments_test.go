@@ -225,8 +225,4 @@ func TestScaleHelpers(t *testing.T) {
 	if f.GraphsPerBehavior != 100 || f.BackgroundGraphs != 10000 {
 		t.Errorf("Full scale wrong: %+v", f)
 	}
-	h := q.WithFactor(0.5)
-	if h.GraphsPerBehavior != q.GraphsPerBehavior/2 {
-		t.Errorf("WithFactor: %d", h.GraphsPerBehavior)
-	}
 }

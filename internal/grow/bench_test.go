@@ -1,9 +1,7 @@
 package grow
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"tgminer/internal/sysgen"
@@ -133,7 +131,10 @@ func BenchmarkChildren(b *testing.B) {
 }
 
 // BenchmarkSeeds collects the seeds of one behaviour against a background
-// set, so both the positive collection and the negative scan are timed.
+// set, so both the positive collection and the negative scan are timed:
+// every seed ("all", keep == nil), and only the seeds of the largest
+// support ("top-tier"), the first step of the default miner. Both include
+// the counting pass.
 func BenchmarkSeeds(b *testing.B) {
 	ds := sysgen.Generate(sysgen.Config{
 		Scale:             0.5,
@@ -143,37 +144,23 @@ func BenchmarkSeeds(b *testing.B) {
 		Behaviors:         []string{"sshd-login"},
 	})
 	pos, neg := ds.Behaviors[0].Graphs, ds.Background
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := Seeds(pos, neg); len(out) == 0 {
-			b.Fatal("no seeds")
-		}
-	}
-}
-
-// BenchmarkNodeArenaChunk sweeps the embedding-arena chunk size over the
-// Children workload, the miner's positive-side growth and the arena's main
-// consumer. The winning size and the measured curve are committed on the
-// nodeArenaChunk constant in grow.go; re-run the sweep when the embedding
-// shape changes materially.
-func BenchmarkNodeArenaChunk(b *testing.B) {
-	graphs, p, l, _ := benchWorkload(b)
-	for _, chunk := range []int{128, 256, 512, 1024, 2048} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			old := nodeArenaChunkSize
-			nodeArenaChunkSize = chunk
-			// Flush arenas sized under the previous setting.
-			nodeArenaPool = sync.Pool{New: func() any { return new(nodeArena) }}
-			defer func() {
-				nodeArenaChunkSize = old
-				nodeArenaPool = sync.Pool{New: func() any { return new(nodeArena) }}
-			}()
+	top := CountSeeds(pos).MaxSupport()
+	for _, c := range []struct {
+		name string
+		keep func(support int) bool
+	}{
+		{"all", nil},
+		{"top-tier", func(support int) bool { return support == top }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, dropped := CountSeeds(pos).Build(neg, c.keep); c.keep != nil && dropped == 0 {
+				b.Fatal("the filter drops no seed")
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if exts, _, _ := Children(p, graphs, l, nil); len(exts) == 0 {
-					b.Fatal("no children")
+				if out, _ := CountSeeds(pos).Build(neg, c.keep); len(out) == 0 {
+					b.Fatal("no seeds")
 				}
 			}
 		})

@@ -180,56 +180,187 @@ func (l List) SupportGraphs(buf []int32) []int32 {
 
 // Seeds enumerates all one-edge patterns occurring in the positive set with
 // their embeddings in both sets, ordered deterministically by (source label,
-// destination label, self-loop).
+// destination label, self-loop). It is CountSeeds(pos).Build(neg, nil).
 func Seeds(pos, neg []*tgraph.Graph) []Seed {
-	var arena nodeArena
-	at := make(map[uint64]int32) // seedKey -> ordinal in lists, then in the output
-	var keys []uint64
-	var lists []List
+	seeds, _ := CountSeeds(pos).Build(neg, nil)
+	return seeds
+}
+
+// SeedCounts is the first half of seed collection: every one-edge pattern
+// of a positive set with its support, counted in one pass over the
+// positives without building a list. Build then materializes only the
+// seeds a support filter keeps, so a seed the caller can rule out by its
+// support alone never gets a pattern, a list or a negative embedding.
+type SeedCounts struct {
+	pos   []*tgraph.Graph
+	keys  []seedCount // ascending by key: the order Seeds returns
+	table []int32     // key -> ordinal in keys + 1 (0 = empty): open addressing, power-of-two size, load ≤ ½
+	shift uint        // 64 - log2(len(table))
+	top   int         // the largest support
+}
+
+// seedCount is one seed key of a SeedCounts: how many embeddings and
+// distinct positive graphs it has, the graph of its latest embedding while
+// counting, and its index in Build's output (-1 when keep dropped it).
+type seedCount struct {
+	key            uint64
+	n, support     int32
+	lastGraph, out int32
+}
+
+// seedTableBits is log2 of the initial size of a SeedCounts' key index.
+const seedTableBits = 8
+
+// CountSeeds counts the support of every one-edge pattern of pos: the
+// number of distinct graphs holding at least one of its edges.
+func CountSeeds(pos []*tgraph.Graph) *SeedCounts {
+	c := &SeedCounts{pos: pos, table: make([]int32, 1<<seedTableBits), shift: 64 - seedTableBits}
 	for gi, g := range pos {
-		for p, e := range g.Edges() {
-			k := seedKey(g.LabelOf(e.Src), g.LabelOf(e.Dst), e.Src == e.Dst)
-			i, ok := at[k]
-			if !ok {
-				i = int32(len(keys))
-				at[k] = i
-				keys = append(keys, k)
-				lists = append(lists, nil)
+		for _, e := range g.Edges() {
+			sc := &c.keys[c.insert(seedKey(g.LabelOf(e.Src), g.LabelOf(e.Dst), e.Src == e.Dst))]
+			sc.n++
+			// Graphs are scanned in order, so one word per key counts them.
+			if sc.lastGraph != int32(gi) {
+				sc.support++
+				sc.lastGraph = int32(gi)
+				c.top = max(c.top, int(sc.support))
 			}
-			lists[i] = append(lists[i], seedEmbedding(e, int32(gi), int32(p), &arena))
 		}
 	}
-
-	slices.Sort(keys)
-	out := make([]Seed, len(keys))
-	// srcSeen[l] reports whether some positive seed starts at label l, so
-	// most background edges are rejected by one slice load, before any hash.
-	var srcSeen []bool
-	if len(keys) > 0 {
-		srcSeen = make([]bool, keys[len(keys)-1]>>33+1)
+	// Lay the keys out in seed order and point the index at their new
+	// ordinals.
+	slices.SortFunc(c.keys, func(a, b seedCount) int { return cmp.Compare(a.key, b.key) })
+	clear(c.table)
+	for i := range c.keys {
+		c.place(int32(i))
 	}
-	for r, k := range keys {
-		src, dst, loop := tgraph.Label(k>>33), tgraph.Label(uint32(k>>1)), k&1 == 1
-		out[r] = Seed{Pattern: tgraph.SingleEdgePattern(src, dst, loop), Pos: lists[at[k]]}
-		at[k] = int32(r)
+	return c
+}
+
+// MaxSupport returns the largest support of any seed, 0 when pos has no
+// edge.
+func (c *SeedCounts) MaxSupport() int { return c.top }
+
+// home is the slot where k's linear probe starts: the top bits of its
+// Fibonacci hash.
+func (c *SeedCounts) home(k uint64) uint64 {
+	return (k * 0x9E3779B97F4A7C15) >> c.shift
+}
+
+// insert returns k's ordinal, adding a key when k is new. The table
+// doubles once it is more than half full.
+func (c *SeedCounts) insert(k uint64) int32 {
+	mask := uint64(len(c.table) - 1)
+	for i := c.home(k); ; i = (i + 1) & mask {
+		o := c.table[i] - 1
+		if o < 0 {
+			o = int32(len(c.keys))
+			c.keys = append(c.keys, seedCount{key: k, lastGraph: -1})
+			c.table[i] = o + 1
+			if 2*len(c.keys) > len(c.table) {
+				c.table = make([]int32, 2*len(c.table))
+				c.shift--
+				for j := range c.keys {
+					c.place(int32(j))
+				}
+			}
+			return o
+		}
+		if c.keys[o].key == k {
+			return o
+		}
+	}
+}
+
+// place indexes keys[o], which the table does not hold yet.
+func (c *SeedCounts) place(o int32) {
+	mask := uint64(len(c.table) - 1)
+	i := c.home(c.keys[o].key)
+	for c.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.table[i] = o + 1
+}
+
+// lookup returns k's ordinal, or -1 when no positive edge has key k.
+func (c *SeedCounts) lookup(k uint64) int32 {
+	mask := uint64(len(c.table) - 1)
+	for i := c.home(k); ; i = (i + 1) & mask {
+		o := c.table[i] - 1
+		if o < 0 || c.keys[o].key == k {
+			return o
+		}
+	}
+}
+
+// Build materializes the seeds whose support keep accepts: each with its
+// pattern, its positive list and its negative list over neg, in seed order.
+// dropped counts the seeds keep rejects; they cost no allocation, and a
+// negative edge whose source label starts no kept seed is rejected by one
+// slice load. When keep rejects every seed, neg is not scanned at all.
+//
+// With keep == nil every seed is kept, and Build returns exactly what Seeds
+// returns. With a filter it returns exactly the entries of that unfiltered
+// result that keep accepts, in the same order.
+//
+// Build may be called several times on one SeedCounts, but not
+// concurrently.
+func (c *SeedCounts) Build(neg []*tgraph.Graph, keep func(support int) bool) (seeds []Seed, dropped int) {
+	kept, maxSrc := 0, -1
+	for i := range c.keys {
+		sc := &c.keys[i]
+		if keep != nil && !keep(int(sc.support)) {
+			sc.out = -1
+			dropped++
+			continue
+		}
+		sc.out = int32(kept)
+		kept++
+		maxSrc = int(sc.key >> 33) // keys ascend, and the source label leads
+	}
+	seeds = make([]Seed, kept)
+	if kept == 0 {
+		return seeds, dropped
+	}
+	// srcSeen[l] reports whether some kept seed starts at label l.
+	srcSeen := make([]bool, maxSrc+1)
+	for i := range c.keys {
+		sc := &c.keys[i]
+		if sc.out < 0 {
+			continue
+		}
+		src, dst, loop := tgraph.Label(sc.key>>33), tgraph.Label(uint32(sc.key>>1)), sc.key&1 == 1
+		seeds[sc.out] = Seed{Pattern: tgraph.SingleEdgePattern(src, dst, loop), Pos: make(List, 0, sc.n)}
 		srcSeen[src] = true
 	}
-
+	var arena nodeArena
+	c.collect(seeds, c.pos, false, srcSeen, &arena)
 	// Only seeds that exist positively matter on the negative side.
-	for gi, g := range neg {
+	c.collect(seeds, neg, true, srcSeen, &arena)
+	return seeds, dropped
+}
+
+// collect appends the one-edge embedding of every edge of graphs whose
+// seed Build keeps to that seed's negative list if negative is set, and to
+// its positive list otherwise.
+func (c *SeedCounts) collect(seeds []Seed, graphs []*tgraph.Graph, negative bool, srcSeen []bool, arena *nodeArena) {
+	for gi, g := range graphs {
 		for p, e := range g.Edges() {
 			src := g.LabelOf(e.Src)
 			if uint32(src) >= uint32(len(srcSeen)) || !srcSeen[src] {
 				continue
 			}
-			r, ok := at[seedKey(src, g.LabelOf(e.Dst), e.Src == e.Dst)]
-			if !ok {
+			o := c.lookup(seedKey(src, g.LabelOf(e.Dst), e.Src == e.Dst))
+			if o < 0 || c.keys[o].out < 0 {
 				continue
 			}
-			out[r].Neg = append(out[r].Neg, seedEmbedding(e, int32(gi), int32(p), &arena))
+			l := &seeds[c.keys[o].out].Pos
+			if negative {
+				l = &seeds[c.keys[o].out].Neg
+			}
+			*l = append(*l, seedEmbedding(e, int32(gi), int32(p), arena))
 		}
 	}
-	return out
 }
 
 // seedKey packs a one-edge pattern into one word whose numeric order is the
@@ -260,20 +391,14 @@ func seedEmbedding(e tgraph.Edge, gid, pos int32, arena *nodeArena) Embedding {
 
 // nodeArenaChunk is the number of NodeIDs handed out per arena chunk. Large
 // enough to amortize one chunk allocation over many embeddings, small enough
-// that a few straggler embeddings pinning a chunk is cheap. Swept by
-// BenchmarkNodeArenaChunk (bench_test.go) on the sshd-login Children
-// workload, 2-core Xeon, go1.24, benchtime=2s (ns/op, B/op, allocs/op):
-// 128: 1315/879/3; 256: 1277/873/3; 512: 1374/873/3; 1024: 1303/873/3;
-// 2048: 1161/872/3. Flat within run-to-run noise (the chunk allocation is
-// amortized well below one per call), so 512 stays: 2048's edge
-// is inside the noise band and quadruples the memory a straggler
-// embedding pins.
+// that a few straggler embeddings pinning a chunk is cheap. A sweep of the
+// chunk size over the sshd-login Children workload (2-core Xeon, go1.24,
+// benchtime=2s; ns/op, B/op, allocs/op) read 128: 1315/879/3;
+// 256: 1277/873/3; 512: 1374/873/3; 1024: 1303/873/3; 2048: 1161/872/3.
+// That is flat within run-to-run noise (the chunk allocation is amortized
+// well below one per call), so 512 stays: 2048's edge is inside the noise
+// band and quadruples the memory a straggler embedding pins.
 const nodeArenaChunk = 512
-
-// nodeArenaChunkSize is the chunk size alloc actually uses; a var only so
-// BenchmarkNodeArenaChunk can sweep it single-threadedly. Never written
-// outside that benchmark.
-var nodeArenaChunkSize = nodeArenaChunk
 
 // nodeArena is a chunked bump allocator for embedding node slices. Allocated
 // regions are handed out exactly once and never recycled, so slices stay
@@ -286,11 +411,7 @@ type nodeArena struct {
 // alloc returns a zeroed-capacity slice of exactly n NodeIDs.
 func (a *nodeArena) alloc(n int) []tgraph.NodeID {
 	if len(a.buf)+n > cap(a.buf) {
-		size := nodeArenaChunkSize
-		if n > size {
-			size = n
-		}
-		a.buf = make([]tgraph.NodeID, 0, size)
+		a.buf = make([]tgraph.NodeID, 0, max(n, nodeArenaChunk))
 	}
 	s := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
 	a.buf = a.buf[:len(a.buf)+n]

@@ -641,6 +641,100 @@ func TestSeedsMatchesReference(t *testing.T) {
 	}
 }
 
+// checkSeedsKeep builds the seeds of one CountSeeds call under filters that
+// keep every seed, some seeds (support ≥ 2, support equal to the largest)
+// and none, and compares each with Seeds(pos, neg): a filtered Build must
+// return exactly the unfiltered seeds whose positive support the filter
+// accepts, with the same patterns, lists and order, and count the rest as
+// dropped. The filters share one SeedCounts, as the miner's two steps do.
+// It returns the seeds kept and dropped over all filters.
+func checkSeedsKeep(t *testing.T, name string, pos, neg []*tgraph.Graph) (kept, dropped int) {
+	t.Helper()
+	all := Seeds(pos, neg)
+	counts := CountSeeds(pos)
+	top := counts.MaxSupport()
+	for _, f := range []struct {
+		name string
+		keep func(support int) bool
+	}{
+		{"all", func(int) bool { return true }},
+		{"support ≥ 2", func(c int) bool { return c >= 2 }},
+		{"largest support", func(c int) bool { return c == top }},
+		{"none", func(int) bool { return false }},
+		{"nil", nil},
+	} {
+		got, gotDropped := counts.Build(neg, f.keep)
+		var want []Seed
+		for _, sd := range all {
+			if f.keep == nil || f.keep(sd.Pos.SupportCount()) {
+				want = append(want, sd)
+			}
+		}
+		if len(got) != len(want) || gotDropped != len(all)-len(want) {
+			t.Fatalf("%s, %s: %d seeds and %d dropped, want %d and %d", name, f.name, len(got), gotDropped, len(want), len(all)-len(want))
+		}
+		for i := range want {
+			if got[i].Pattern.Key() != want[i].Pattern.Key() {
+				t.Fatalf("%s, %s: seed %d is %s, want %s", name, f.name, i, got[i].Pattern.Key(), want[i].Pattern.Key())
+			}
+			if !sameList(got[i].Pos, want[i].Pos) || !sameList(got[i].Neg, want[i].Neg) {
+				t.Fatalf("%s, %s: seed %s: lists differ\npos %v\nwant %v\nneg %v\nwant %v", name, f.name,
+					want[i].Pattern.Key(), got[i].Pos, want[i].Pos, got[i].Neg, want[i].Neg)
+			}
+		}
+		kept += len(got)
+		dropped += gotDropped
+	}
+	return kept, dropped
+}
+
+// TestSeedsKeepDropsBySupport runs checkSeedsKeep on hand-built, random and
+// sysgen corpora.
+func TestSeedsKeepDropsBySupport(t *testing.T) {
+	type corpus struct {
+		name     string
+		pos, neg []*tgraph.Graph
+	}
+	var corpora []corpus
+	var hand []*tgraph.Graph
+	for _, c := range childrenHandBuilt {
+		hand = append(hand, buildGraph(t, c.labels, c.edges))
+	}
+	// The hand-built graphs share labels 0–2, so their seeds' supports
+	// differ.
+	corpora = append(corpora, corpus{"hand-built", hand, hand[1:]}, corpus{"hand-built, no background", hand, nil})
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 100; trial++ {
+		var pos, neg []*tgraph.Graph
+		for i := 1 + rng.Intn(5); i > 0; i-- {
+			pos = append(pos, randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(12), 4))
+		}
+		if trial%3 != 0 {
+			for i := 1 + rng.Intn(6); i > 0; i-- {
+				neg = append(neg, randomGraph(rng, 2+rng.Intn(6), 1+rng.Intn(16), 8))
+			}
+		}
+		corpora = append(corpora, corpus{fmt.Sprintf("random %d", trial), pos, neg})
+	}
+	ds := sysgen.Generate(sysgen.Config{
+		Scale: 0.2, GraphsPerBehavior: 4, BackgroundGraphs: 6, Seed: 11,
+		Behaviors: []string{"sshd-login", "apt-get-install"},
+	})
+	for _, bd := range ds.Behaviors {
+		corpora = append(corpora, corpus{bd.Spec.Name, bd.Graphs, ds.Background})
+	}
+	kept, dropped := 0, 0
+	for _, c := range corpora {
+		k, d := checkSeedsKeep(t, c.name, c.pos, c.neg)
+		kept += k
+		dropped += d
+	}
+	t.Logf("%d corpora: %d seeds kept, %d dropped", len(corpora), kept, dropped)
+	if dropped == 0 {
+		t.Fatal("no filter dropped a seed")
+	}
+}
+
 // TestExtKeyOrderMatchesCompare checks the invariant Extensions and
 // Children sort by: on extensions as scan builds them (one of Src, Dst and
 // NewLabel is -1, the rest non-negative), the numeric order of key() is

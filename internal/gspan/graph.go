@@ -51,22 +51,6 @@ func FromTemporal(g *tgraph.Graph) *Graph {
 	return newGraph(labels, edges)
 }
 
-// NewGraph builds a simple graph from explicit labels and edges; duplicate
-// edges collapse.
-func NewGraph(labels []tgraph.Label, edges []Edge) *Graph {
-	seen := make(map[[2]tgraph.NodeID]bool, len(edges))
-	uniq := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		k := [2]tgraph.NodeID{e.Src, e.Dst}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		uniq = append(uniq, e)
-	}
-	return newGraph(append([]tgraph.Label(nil), labels...), uniq)
-}
-
 func newGraph(labels []tgraph.Label, edges []Edge) *Graph {
 	g := &Graph{
 		labels: labels,

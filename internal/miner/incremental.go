@@ -200,7 +200,10 @@ func (ss *Session) MineContext(ctx context.Context, pos, neg []*tgraph.Graph) (*
 	posClean := cleanGraphs(pos, ss.posPtrs, ss.posStamp)
 	negClean := cleanGraphs(neg, ss.negPtrs, ss.negStamp)
 
-	seeds := sortedSeeds(pos, neg)
+	// Every seed is built (keep == nil): a seed's cache entry is checked by
+	// its lists' fingerprints, and seedTies observes each frame against the
+	// seed's own best, not against the threshold.
+	seeds, _ := sortedSeeds(grow.CountSeeds(pos), neg, nil)
 	keys := make([]grow.SeedKey, len(seeds))
 	live := make(map[grow.SeedKey]bool, len(seeds))
 	for i := range seeds {

@@ -174,10 +174,10 @@ type ScoredPattern struct {
 // trigger probabilities SubgraphPrunes/PatternsExplored and
 // SupergraphPrunes/PatternsExplored.
 //
-// A child that the upper bound cuts before it is built (no embedding lists,
-// no pattern; see search.dfs) is counted exactly as its own frame would
-// count it: in PatternsExplored and MaxEdgesSeen, and in UpperBoundPrunes
-// unless it is at MaxEdges.
+// A child or a seed that the upper bound cuts before it is built (no
+// embedding lists, no pattern; see search.dfs and mineSeeds) is counted
+// exactly as its own frame would count it: in PatternsExplored and
+// MaxEdgesSeen, and in UpperBoundPrunes unless it is at MaxEdges.
 type Stats struct {
 	PatternsExplored int64
 	UpperBoundPrunes int64
@@ -258,13 +258,12 @@ func MineContext(ctx context.Context, pos, neg []*tgraph.Graph, opts Options) (*
 	if err := ctx.Err(); err != nil {
 		return &Result{BestScore: inf(), Elapsed: time.Since(start)}, err
 	}
-	seeds := sortedSeeds(pos, neg)
 	sh := newShared(opts.MaxResults)
 	var reg *registry
 	if opts.SubgraphPruning || opts.SupergraphPruning {
 		reg = newRegistry(opts.ResidualLinear, maxRegistry)
 	}
-	stats := runSeeds(ctx, pos, neg, opts, sh, reg, seeds, nil)
+	stats := mineSeeds(ctx, pos, neg, opts, sh, reg)
 	if reg != nil {
 		stats.RegistrySize = reg.size()
 	}
@@ -284,21 +283,22 @@ func inf() float64 { return -1e308 }
 // pruning lookups; exceeding it only forgoes pruning opportunities.
 const maxRegistry = 1 << 20
 
-// sortedSeeds returns the single-edge seeds of pos against neg ordered
-// high-positive-support, low-negative-support first. The threshold reaches
-// its ceiling as soon as a maximally frequent, zero-negative pattern is
-// found, after which the upper-bound condition kills every lower-support
-// branch on sight and the subgraph/supergraph conditions can cut redundant
-// frequent-but-undiscriminative branches — the "find discriminative
-// patterns early to prune early" strategy the paper cites from leap search
-// [30]. Ordering only affects speed: the searched-or-pruned set of
-// maximum-score patterns is unchanged.
-func sortedSeeds(pos, neg []*tgraph.Graph) []grow.Seed {
+// sortedSeeds builds the single-edge seeds of counts whose support keep
+// accepts against neg (grow.SeedCounts.Build), ordered high-positive-support,
+// low-negative-support first, then by key; dropped counts the rest. The
+// threshold reaches its ceiling as soon as a maximally frequent,
+// zero-negative pattern is found, after which the upper-bound condition
+// kills every lower-support branch on sight and the subgraph/supergraph
+// conditions can cut redundant frequent-but-undiscriminative branches — the
+// "find discriminative patterns early to prune early" strategy the paper
+// cites from leap search [30]. Ordering only affects speed: the
+// searched-or-pruned set of maximum-score patterns is unchanged.
+func sortedSeeds(counts *grow.SeedCounts, neg []*tgraph.Graph, keep func(support int) bool) (seeds []grow.Seed, dropped int) {
 	type ranked struct {
 		seed     grow.Seed
 		pos, neg int
 	}
-	seeds := grow.Seeds(pos, neg)
+	seeds, dropped = counts.Build(neg, keep)
 	rs := make([]ranked, len(seeds))
 	for i, s := range seeds {
 		rs[i] = ranked{seed: s, pos: s.Pos.SupportCount(), neg: s.Neg.SupportCount()}
@@ -309,7 +309,48 @@ func sortedSeeds(pos, neg []*tgraph.Graph) []grow.Seed {
 	for i := range rs {
 		seeds[i] = rs[i].seed
 	}
-	return seeds
+	return seeds, dropped
+}
+
+// mineSeeds mines every seed of pos against neg into sk: the seed pool of
+// MineContext and MineTopKContext.
+//
+// With a registry, every seed is built and run. Without one the upper bound
+// alone cuts, and a seed it cuts is never built. The seeds of the largest positive support are built and mined
+// first; they are the first in seed order, and on sysgen corpora they lift
+// the threshold to the score ceiling. Then the threshold t is read once, and
+// only the other seeds with !(ub[c] < t) are built, in one more call. Each
+// remaining seed's frame would have been cut at entry, since the threshold
+// never falls and its score is at most its bound, so skipped counts it as
+// that frame would. The rule reads each seed's own bound, so it assumes
+// nothing about how UpperBound varies with the support. The built seeds keep
+// their order, so at one worker the exploration order and every Stats
+// counter are those of building every seed; at more, the workers meet once
+// between the two steps.
+func mineSeeds(ctx context.Context, pos, neg []*tgraph.Graph, opts Options, sk sink, reg *registry) Stats {
+	counts := grow.CountSeeds(pos)
+	if reg != nil {
+		// keep == nil: register runs even in a frame the upper bound cuts.
+		seeds, _ := sortedSeeds(counts, neg, nil)
+		return runSeeds(ctx, pos, neg, opts, sk, reg, seeds, nil)
+	}
+	top := counts.MaxSupport()
+	first, _ := sortedSeeds(counts, neg, func(c int) bool { return c == top })
+	stats := runSeeds(ctx, pos, neg, opts, sk, nil, first, nil)
+	if ctx.Err() != nil {
+		return stats
+	}
+	ub, t := upperBounds(opts.Score, len(pos)), sk.threshold()
+	rest, dropped := sortedSeeds(counts, neg, func(c int) bool { return c != top && !(ub[c] < t) })
+	if n := dropped - len(first); n > 0 {
+		cut := search{opts: opts}
+		cut.skipped(1, n)
+		stats.merge(cut.stats)
+	}
+	if len(rest) > 0 {
+		stats.merge(runSeeds(ctx, pos, neg, opts, sk, nil, rest, nil))
+	}
+	return stats
 }
 
 // poolSize clamps the configured parallelism to the available work.

@@ -63,9 +63,8 @@ func MineTopKContext(ctx context.Context, pos, neg []*tgraph.Graph, k int, opts 
 	if err := ctx.Err(); err != nil {
 		return &TopKResult{Threshold: inf(), Elapsed: time.Since(start)}, err
 	}
-	seeds := sortedSeeds(pos, neg)
 	sh := newSharedTopK(k)
-	stats := runSeeds(ctx, pos, neg, opts, sh, nil, seeds, nil)
+	stats := mineSeeds(ctx, pos, neg, opts, sh, nil)
 	return &TopKResult{
 		Patterns:  sh.ranked(),
 		Threshold: sh.threshold(),

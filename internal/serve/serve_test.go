@@ -416,6 +416,52 @@ func TestServeEvictOnPressure(t *testing.T) {
 	}
 }
 
+// statsz fetches and decodes /v1/statsz.
+func statsz(t *testing.T, base string) StatszResponse {
+	t.Helper()
+	r, err := http.Get(base + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var stz StatszResponse
+	if err := json.NewDecoder(r.Body).Decode(&stz); err != nil {
+		t.Fatal(err)
+	}
+	return stz
+}
+
+// TestServeStatszCountsAcceptedPrefix checks that a batch failing at event
+// k still counts the k events before it, which stay in the engine, in
+// ingestEvents (and so in the ingest rate built on it).
+func TestServeStatszCountsAcceptedPrefix(t *testing.T) {
+	_, ts, eng := newTestServer(t, 1, Watermarks{})
+	ingest(t, ts.URL, sessions(0, 1))
+	before := statsz(t, ts.URL).Server.IngestEvents
+	batch := []Event{
+		{Time: 100, Src: "a", Dst: "b"},
+		{Time: 101, Src: "b", Dst: "c"},
+		{Time: 50, Src: "c", Dst: "d"}, // out of order: rejected
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/events", IngestRequest{Events: batch})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var ir IngestResponse
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Appended != 2 || ir.LastTime != 101 {
+		t.Fatalf("appended %d up to time %d, want 2 up to 101: %s", ir.Appended, ir.LastTime, body)
+	}
+	if got := eng.Stats().LiveEdges; got != 5 {
+		t.Fatalf("engine holds %d edges, want 5", got)
+	}
+	if got := statsz(t, ts.URL).Server.IngestEvents - before; got != 2 {
+		t.Fatalf("ingestEvents rose by %d, want 2", got)
+	}
+}
+
 // TestServeReaderAbandonment is the satellite check: a client that
 // disconnects mid-stream releases its reader-table slot and pinned
 // generation — ActiveReaders returns to 0, OldestReaderLag stops growing,

@@ -240,7 +240,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := s.eng.Append(ev.Src, ev.Dst, ev.Time); err != nil {
 			// The accepted prefix is already durable; report it so the
-			// producer resumes after the last accepted event.
+			// producer resumes after the last accepted event, and count it.
+			s.ingestEvents.Add(int64(resp.Appended))
 			resp.Error = err.Error()
 			resp.LastTime = s.eng.LastTime()
 			s.writeJSON(w, http.StatusBadRequest, resp)
@@ -248,7 +249,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Appended++
 	}
-	s.ingestEvents.Add(int64(len(req.Events)))
+	s.ingestEvents.Add(int64(resp.Appended))
 	resp.LastTime = s.eng.LastTime()
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -10,10 +10,7 @@
 // sequentialization transform for concurrent edges (Section 5 of the paper).
 package tgraph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Label is an interned node label. Labels are interned through a Dict so
 // that graphs and patterns can compare labels as integers.
@@ -73,11 +70,3 @@ func (d *Dict) Len() int { return len(d.names) }
 // Names returns all interned names ordered by Label value. The returned
 // slice must not be modified.
 func (d *Dict) Names() []string { return d.names }
-
-// SortedNames returns a copy of the interned names in lexicographic order.
-func (d *Dict) SortedNames() []string {
-	out := make([]string, len(d.names))
-	copy(out, d.names)
-	sort.Strings(out)
-	return out
-}

@@ -335,25 +335,3 @@ func (p *Pattern) Format(dict *Dict) string {
 	}
 	return sb.String()
 }
-
-// OutDegree returns the out-degree of node v in the pattern.
-func (p *Pattern) OutDegree(v NodeID) int {
-	n := 0
-	for _, e := range p.edges {
-		if e.Src == v {
-			n++
-		}
-	}
-	return n
-}
-
-// InDegree returns the in-degree of node v in the pattern.
-func (p *Pattern) InDegree(v NodeID) int {
-	n := 0
-	for _, e := range p.edges {
-		if e.Dst == v {
-			n++
-		}
-	}
-	return n
-}

@@ -187,19 +187,6 @@ func TestAsGraphRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDegrees(t *testing.T) {
-	p, _ := NewPattern([]Label{0, 1, 2}, []PEdge{{0, 1}, {0, 2}, {1, 0}})
-	if got := p.OutDegree(0); got != 2 {
-		t.Errorf("OutDegree(0) = %d, want 2", got)
-	}
-	if got := p.InDegree(0); got != 1 {
-		t.Errorf("InDegree(0) = %d, want 1", got)
-	}
-	if got := p.OutDegree(2); got != 0 {
-		t.Errorf("OutDegree(2) = %d, want 0", got)
-	}
-}
-
 func TestGrowthKindString(t *testing.T) {
 	if Forward.String() != "forward" || Backward.String() != "backward" || Inward.String() != "inward" {
 		t.Errorf("GrowthKind strings wrong: %s %s %s", Forward, Backward, Inward)
